@@ -94,9 +94,12 @@ def _parse_family(obj):
         if "a" in obj:
             kwargs["a"] = _complex_value(obj["a"], "family.a")
         if "order" in obj:
-            kwargs["order"] = int(obj["order"])
+            kwargs["order"] = _number(obj["order"], "family.order", int)
         return _expand_named_family(
-            name, int(obj.get("start", 1)), int(obj.get("stop", 8)), **kwargs
+            name,
+            _number(obj.get("start", 1), "family.start", int),
+            _number(obj.get("stop", 8), "family.stop", int),
+            **kwargs,
         )
     if isinstance(obj, list):
         out = []
@@ -114,11 +117,22 @@ def _parse_family(obj):
     raise ConfigError("family must be a string, object, or list", field="family")
 
 
+def _number(obj, where, kind=float):
+    """obj through int or float; an unreadable value names its field."""
+    try:
+        return kind(obj)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {obj!r}", field=where) from None
+
+
 def _complex_value(obj, where):
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        try:
+            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        except (TypeError, ValueError):
+            pass
     raise ConfigError(
         f"complex values must be numbers or {{'re':..,'im':..}} objects", field=where
     )
@@ -128,19 +142,20 @@ def _parse_params(obj, command):
     if not isinstance(obj, dict):
         raise ConfigError("params must be an object", field="params")
     try:
-        sigma = float(obj["sigma"])
-        beta = float(obj["beta"])
+        sigma = _number(obj["sigma"], "params.sigma")
+        beta = _number(obj["beta"], "params.beta")
     except KeyError as exc:
         raise ConfigError(f"params missing {exc.args[0]!r}", field="params") from None
+    tau = _number(obj["tau"], "params.tau") if "tau" in obj else None
     if command == "bound-check":
-        if "tau" in obj and float(obj["tau"]) != sigma:
+        if tau is not None and tau != sigma:
             raise ConfigError(
                 "bound-check runs in the equal-weight window; omit tau or set it to sigma",
                 field="params.tau",
             )
         return validate_main_theorem_params(sigma, beta)
-    if "tau" in obj:
-        return validate_params(sigma, float(obj["tau"]), beta)
+    if tau is not None:
+        return validate_params(sigma, tau, beta)
     return validate_main_theorem_params(sigma, beta)
 
 
@@ -222,7 +237,7 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
             raise ConfigError(f"{cfg_command} needs params", field="params")
         params = _parse_params(obj["params"], cfg_command)
 
-    seed = int(obj.get("seed", 0))
+    seed = _number(obj.get("seed", 0), "seed", int)
     sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
     if "seed" not in (obj.get("sup_search") or {}):
         sup_search = replace(sup_search, seed=seed)
@@ -234,9 +249,9 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         params=params,
         quadrature=_settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature"),
         sup_search=sup_search,
-        selfmap_grid=int(obj.get("selfmap_grid", 1024)),
-        selfmap_tol=float(obj.get("selfmap_tol", 1e-6)),
-        stability_rel_tol=float(obj.get("stability_rel_tol", 0.02)),
+        selfmap_grid=_number(obj.get("selfmap_grid", 1024), "selfmap_grid", int),
+        selfmap_tol=_number(obj.get("selfmap_tol", 1e-6), "selfmap_tol"),
+        stability_rel_tol=_number(obj.get("stability_rel_tol", 0.02), "stability_rel_tol"),
         seed=seed,
         out_dir=obj.get("out_dir"),
     )

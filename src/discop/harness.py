@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConvergenceError, SymbolError
+from .errors import ConvergenceError, ParamError, SymbolError
 from .kernels import Verdict, estimate_sup
 from .norms import (
     dirichlet_norm_sq_coeff,
@@ -73,6 +73,17 @@ def _verified(symbol: Symbol) -> Symbol:
     return symbol
 
 
+def _plain(value):
+    """``value`` as JSON data: dataclasses as objects, tuples as lists."""
+    if is_dataclass(value):
+        return {f: _plain(getattr(value, f)) for f in value.__dataclass_fields__}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
+
+
 def run(config: RunConfig) -> RunOutcome:
     """Execute the configured experiment; errors become rows + exit codes."""
     outcome = RunOutcome()
@@ -93,6 +104,8 @@ def run(config: RunConfig) -> RunOutcome:
                 value=str(exc), method="", tolerance="", verdict=exc.code, wall_ms=0.0,
             )
         )
+        # the report keeps the failure's evidence; the CSV row stays as it was
+        outcome.traces["error"] = {"partial": _plain(exc.partial), "trace": _plain(exc.trace)}
         outcome.exit_code = _worst(outcome.exit_code, 3)
     except SymbolError as exc:
         outcome.rows.append(
@@ -214,8 +227,10 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
     plot = []
     for idx, (label, series) in enumerate(config.family):
         t0 = time.perf_counter()
-        functional = double_integral_functional(series, config.params, config.quadrature)
         denominator = dirichlet_norm_sq_coeff(series, config.params.p_dirichlet)
+        if denominator.value_sq <= 0.0:
+            raise ParamError(f"family member {label} is constant; ratio undefined")
+        functional = double_integral_functional(series, config.params, config.quadrature)
         wall = (time.perf_counter() - t0) * 1e3
         ratio = functional.value_sq / denominator.value_sq
         prev = float(np.real(functional.trace[-2][2])) / denominator.value_sq

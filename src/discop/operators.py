@@ -185,7 +185,7 @@ def lift_norm_check(
     identity = Identity()
 
     def l_eval(n_rad, n_ang):
-        value, _, _, _ = _composed_pair_pass(value_fn, identity, sigma, q, n_rad, n_ang)
+        (value,), _, _, _ = _composed_pair_sums([value_fn], identity, sigma, q, n_rad, n_ang)
         return value
 
     n_rad, n_ang = settings.radial_count, settings.angular_count
@@ -424,66 +424,97 @@ class BoundCheckReport:
     sup_power_q: float
 
 
-def _pair_kernel_sq(x, y, s, rows, cols):
-    """|1 - u_i conj(u_j)|^2 for the row/col slices, via real outer products."""
-    re_uu = x[rows, None] * x[None, cols] + y[rows, None] * y[None, cols]
-    return 1.0 - 2.0 * re_uu + s[rows, None] * s[None, cols]
+def _pair_kernel_sq(x, y, s, rows, cols, scratch):
+    """|1 - u_i conj(u_j)|^2 for the row/col slices, via real outer products.
+
+    ``scratch`` (block-shaped) holds the partial products; the result is a
+    fresh array.
+    """
+    out = np.multiply.outer(x[rows], x[cols])
+    out += np.multiply.outer(y[rows], y[cols], out=scratch)
+    out *= -2.0
+    out += 1.0
+    out += np.multiply.outer(s[rows], s[cols], out=scratch)
+    return out
 
 
-def _composed_pair_pass(value_fn, symbol, sigma, q, n_rad, n_ang, sup_q=None, rel_tol=1e-12):
-    """One rule-level pass of the composed pairwise integral.
+def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, rel_tol=1e-12):
+    """One rule-level pass of the composed pairwise integral for a family.
 
-    Computes  iint |F(z)-F(w)|^2 / |1 - conj(phi(w)) phi(z)|^q dA_sigma^2
-    with F = f(phi).  The integrand is symmetric in the node pair and its
-    diagonal vanishes, so only the strict upper triangle is evaluated (with
-    doubled weight), in fixed row blocks for determinism.
+    Computes, for every F = f(phi) with f in the family,
+    iint |F(z)-F(w)|^2 / |1 - conj(phi(w)) phi(z)|^q dA_sigma^2.  The
+    integrand is symmetric in the node pair and its diagonal vanishes, so only
+    the strict upper triangle is summed (with doubled weight), in fixed row
+    blocks.  The weighted kernel 2 w_i w_j / |1 - conj(phi_j) phi_i|^q depends
+    on the symbol and the rule only: each block of it is built once and every
+    member is contracted against it, members in the inner loop so the order
+    of the sums is fixed.
 
-    With ``sup_q`` given, the same pass also counts node pairs violating the
-    majorization  plain-kernel integrand <= sup_q * composed integrand
-    beyond ``rel_tol`` (mirrored to ordered pairs), and tracks the largest
-    |kernel| over the node pairs.  Returns (value, violations, pairs,
+    With ``sup_q`` given, the same pass counts for every member the node pairs
+    violating the majorization  plain-kernel integrand <= sup_q * composed
+    integrand  beyond ``rel_tol`` (mirrored to ordered pairs), and tracks the
+    largest |kernel| over the node pairs.  Where F_i != F_j, f cancels from
+    the test, which then reads den_comp/den_plain > sup_q (1 + rel_tol); the
+    exact per-member predicate is evaluated only on the pairs whose ratio comes
+    within round-off of that threshold.  Returns (values, violations, pairs,
     max_kernel); the check fields are None when sup_q is None.
     """
     rule = build_disc_rule(sigma, n_rad, n_ang)
     nodes, weights = rule.nodes, rule.weights
     phi_vals = np.asarray(symbol.value(nodes), dtype=complex)
-    f_vals = np.asarray(value_fn(phi_vals), dtype=complex)
-    if not np.all(np.isfinite(f_vals)):
-        raise ConvergenceError("composed integrand is non-finite at a quadrature node")
+    members = []
+    for value_fn in value_fns:
+        f_vals = np.asarray(value_fn(phi_vals), dtype=complex)
+        if not np.all(np.isfinite(f_vals)):
+            raise ConvergenceError("composed integrand is non-finite at a quadrature node")
+        members.append((f_vals.real, f_vals.imag))
     ux, uy, us = phi_vals.real, phi_vals.imag, abs_sq(phi_vals)
-    fx, fy = f_vals.real, f_vals.imag
     if sup_q is not None:
         zx, zy, zs = nodes.real, nodes.imag, abs_sq(nodes)
+        # the exact predicate runs on the pairs above this threshold only; its
+        # slack covers the round-off of the predicate's three divisions
+        threshold = sup_q * (1.0 + rel_tol) * (1.0 - 1e-12)
     total = len(nodes)
-    parts = []
-    violations = 0
+    parts = [[] for _ in members]
+    violations = [0] * len(members)
     max_kernel_pow_q = 0.0
     for lo in range(0, total, 512):
         hi = min(lo + 512, total)
-        rows = slice(lo, hi)
-        cols = slice(lo, total)
-        den_comp = powq(_pair_kernel_sq(ux, uy, us, rows, cols), q)
-        d_re = fx[rows, None] - fx[None, cols]
-        d_im = fy[rows, None] - fy[None, cols]
-        num = d_re * d_re + d_im * d_im
-        contrib = num / den_comp
-        # doubled weights on the strict upper triangle; the block corner
-        # [lo:hi, lo:hi] carries the diagonal, zeroed along with the lower part
-        scale = np.full(contrib.shape, 2.0)
-        corner = hi - lo
-        scale[:, :corner] = 2.0 * np.triu(np.ones((corner, corner)), k=1)
-        parts.append(
-            np.sum((weights[rows, None] * (contrib * scale)) * weights[None, cols])
-        )
+        rows, cols = slice(lo, hi), slice(lo, total)
+        # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
+        # part below it are zeroed
+        lower = np.tril_indices(hi - lo)
+        scratch = np.empty((hi - lo, total - lo))
+        kernel = powq(_pair_kernel_sq(ux, uy, us, rows, cols, scratch), q)
         if sup_q is not None:
-            den_plain = powq(_pair_kernel_sq(zx, zy, zs, rows, cols), q)
-            bad = (num / den_plain > sup_q * contrib * (1.0 + rel_tol)) & (scale > 0)
-            violations += 2 * int(np.count_nonzero(bad))
-            max_kernel_pow_q = max(max_kernel_pow_q, float(np.max(den_comp / den_plain)))
-    value = float(np.sum(np.asarray(parts)))
+            den_plain = powq(_pair_kernel_sq(zx, zy, zs, rows, cols, scratch), q)
+            ratio = np.divide(kernel, den_plain, out=scratch)
+            max_kernel_pow_q = max(max_kernel_pow_q, float(np.max(ratio)))
+            candidates = ratio > threshold
+            candidates[lower] = False
+            candidates = np.nonzero(candidates)
+            cand_comp, cand_plain = kernel[candidates], den_plain[candidates]
+            del den_plain
+        np.multiply.outer(2.0 * weights[rows], weights[cols], out=scratch)
+        kernel = np.divide(scratch, kernel, out=kernel)
+        kernel[lower] = 0.0
+        buf = np.empty_like(scratch)
+        for k, (fx, fy) in enumerate(members):
+            np.subtract.outer(fx[rows], fx[cols], out=buf)
+            buf *= buf
+            np.subtract.outer(fy[rows], fy[cols], out=scratch)
+            scratch *= scratch
+            buf += scratch
+            if sup_q is not None and len(cand_comp):
+                num = buf[candidates]
+                bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + rel_tol)
+                violations[k] += 2 * int(np.count_nonzero(bad))
+            buf *= kernel
+            parts[k].append(np.sum(buf))
+    values = [float(np.sum(np.asarray(p))) for p in parts]
     if sup_q is None:
-        return value, None, total**2, None
-    return value, violations, total**2, max_kernel_pow_q ** (1.0 / q)
+        return values, None, total**2, None
+    return values, violations, total**2, max_kernel_pow_q ** (1.0 / q)
 
 
 def bound_check(
@@ -501,8 +532,9 @@ def bound_check(
     For each f the ratio ||C_phi f||^2 / (sup^q ||f||^2) is computed with the
     numerator by quadrature on the chain-rule derivative and the denominator
     by the exact coefficient formula, together with the composed-kernel
-    double integral and a nodewise check of the majorization step.  Requires
-    a Bounded supremum verdict (the chain is vacuous otherwise).
+    double integral and a nodewise check of the majorization step; the
+    double integral runs once per rule for the whole family.  Requires a
+    Bounded supremum verdict (the chain is vacuous otherwise).
     """
     params = validate_main_theorem_params(sigma, beta)
     p = params.p_dirichlet
@@ -521,10 +553,9 @@ def bound_check(
     # as the node set for the pointwise majorization check
     coarse_rad = max(settings.radial_count // settings.refinement_factor, 4)
     coarse_ang = max(settings.angular_count // settings.refinement_factor, 8)
-    rows = []
+    norms = []
     for label, f in zip(labels, family):
-        comp = apply_composition(f, symbol)
-        comp_norm = dirichlet_norm_sq_quad(comp, p, settings)
+        comp_norm = dirichlet_norm_sq_quad(apply_composition(f, symbol), p, settings)
         f_norm = dirichlet_norm_sq_coeff(f, p)
         if f_norm.value_sq <= 0.0:
             raise ParamError(f"family member {label} is constant; ratio undefined")
@@ -535,22 +566,25 @@ def bound_check(
             ratio_change = abs(ratio - prev_ratio) / max(abs(ratio), abs(prev_ratio))
         else:
             ratio_change = 0.0
-        value_fn = _value_fn(f)
-        eq_coarse, _, _, _ = _composed_pair_pass(
-            value_fn, symbol, sigma, q, coarse_rad, coarse_ang
-        )
-        eq_base, violations, checked, max_kernel = _composed_pair_pass(
-            value_fn, symbol, sigma, q,
-            settings.radial_count, settings.angular_count, sup_q=sup_q,
-        )
-        eq_scale = max(abs(eq_base), abs(eq_coarse))
+        norms.append((comp_norm, f_norm, ratio, ratio_change))
+    value_fns = [_value_fn(f) for f in family]
+    eq_coarse, _, _, _ = _composed_pair_sums(value_fns, symbol, sigma, q, coarse_rad, coarse_ang)
+    eq_base, violations, checked, max_kernel = _composed_pair_sums(
+        value_fns, symbol, sigma, q,
+        settings.radial_count, settings.angular_count, sup_q=sup_q,
+    )
+    rows = []
+    for label, (comp_norm, f_norm, ratio, ratio_change), coarse, base, bad in zip(
+        labels, norms, eq_coarse, eq_base, violations
+    ):
+        eq_scale = max(abs(base), abs(coarse))
         eq6 = NormResult(
-            value_sq=max(eq_base, 0.0),
+            value_sq=max(base, 0.0),
             method="quadrature",
-            rel_error_estimate=abs(eq_base - eq_coarse) / eq_scale if eq_scale > 0 else 0.0,
+            rel_error_estimate=abs(base - coarse) / eq_scale if eq_scale > 0 else 0.0,
             trace=(
-                (coarse_rad, coarse_ang, eq_coarse),
-                (settings.radial_count, settings.angular_count, eq_base),
+                (coarse_rad, coarse_ang, coarse),
+                (settings.radial_count, settings.angular_count, base),
             ),
         )
         rows.append(
@@ -561,7 +595,7 @@ def bound_check(
                 eq_intermediate_sq=eq6,
                 ratio=ratio,
                 ratio_rel_change=ratio_change,
-                violations=violations,
+                violations=bad,
                 nodes_checked=checked,
                 max_node_kernel=max_kernel,
             )

@@ -291,8 +291,28 @@ def _complex_from_obj(obj, where):
     if isinstance(obj, (int, float)):
         return complex(obj)
     if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        try:
+            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        except (TypeError, ValueError):
+            pass
     raise ParamError(f"{where}: complex values must be numbers or {{'re':..,'im':..}} objects")
+
+
+def _spec_field(spec, key, convert, default=None):
+    """spec[key] through convert; a missing or unreadable entry names symbol.<key>."""
+    where = f"symbol.{key}"
+    if key not in spec:
+        if default is None:
+            raise ParamError(f"{where}: a {spec['type']!r} symbol needs {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError):
+        raise ParamError(f"{where}: cannot read {spec[key]!r}") from None
+
+
+def _complex_list(where):
+    return lambda values: tuple(_complex_from_obj(c, where) for c in values)
 
 
 def symbol_from_spec(spec: dict) -> Symbol:
@@ -303,23 +323,21 @@ def symbol_from_spec(spec: dict) -> Symbol:
     if kind == "identity":
         return Identity()
     if kind == "rotation":
-        return Rotation(angle=float(spec["angle"]))
+        return Rotation(angle=_spec_field(spec, "angle", float))
     if kind == "mobius":
         return MobiusAuto(
-            a=_complex_from_obj(spec["a"], "symbol.a"),
-            post_rotation=float(spec.get("post_rotation", 0.0)),
+            a=_spec_field(spec, "a", lambda a: _complex_from_obj(a, "symbol.a")),
+            post_rotation=_spec_field(spec, "post_rotation", float, 0.0),
         )
     if kind == "monomial":
-        return Monomial(k=int(spec["k"]))
+        return Monomial(k=_spec_field(spec, "k", int))
     if kind == "blaschke":
         return FiniteBlaschke(
-            zeros=tuple(_complex_from_obj(a, "symbol.zeros") for a in spec["zeros"]),
-            post_rotation=float(spec.get("post_rotation", 0.0)),
+            zeros=_spec_field(spec, "zeros", _complex_list("symbol.zeros")),
+            post_rotation=_spec_field(spec, "post_rotation", float, 0.0),
         )
     if kind == "poly":
-        return Polynomial(
-            coeffs=tuple(_complex_from_obj(c, "symbol.coeffs") for c in spec["coeffs"])
-        )
+        return Polynomial(coeffs=_spec_field(spec, "coeffs", _complex_list("symbol.coeffs")))
     raise ParamError(f"unknown symbol type {kind!r}")
 
 

@@ -422,3 +422,68 @@ def test_cli_command_must_match_config(tmp_path, capsys):
     )
     assert cli_main(["kernel-sup", "--config", path]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"command": "kernel-sup", "symbol": {"type": "rotation"}}, "symbol.angle"),
+        ({"command": "kernel-sup", "symbol": {"type": "monomial", "k": "two"}}, "symbol.k"),
+        ({"command": "kernel-sup", "symbol": {"type": "blaschke", "zeros": 0.5}}, "symbol.zeros"),
+        (
+            {
+                "command": "norm",
+                "family": {"name": "monomials", "start": "x"},
+                "params": {"sigma": 1.0, "beta": 0.5},
+            },
+            "family.start",
+        ),
+        (
+            {
+                "command": "norm",
+                "family": "monomials:1..2",
+                "params": {"sigma": "one", "beta": 0.5},
+            },
+            "params.sigma",
+        ),
+        ({"command": "kernel-sup", "symbol": {"type": "identity"}, "seed": "x"}, "seed"),
+        (
+            {
+                "command": "equivalence",
+                "family": [{"coeffs": [0.0, 1.0], "label": "lin"}, {"coeffs": [2.0], "label": "flat"}],
+                "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
+                "quadrature": _fast_quad(),
+            },
+            "family member flat is constant",
+        ),
+    ],
+)
+def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):
+    path = _write_config(tmp_path, "bad.json", payload)
+    assert cli_main([payload["command"], "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert field in capsys.readouterr().err
+
+
+def test_run_keeps_convergence_evidence_in_json(tmp_path):
+    cfg = parse_config(
+        {
+            "command": "equivalence",
+            "family": {"name": "mobius-monomials", "start": 3, "stop": 3,
+                       "a": {"re": 0.9, "im": 0.0}},
+            "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
+            "quadrature": {"radial_count": 8, "angular_count": 32,
+                           "target_rel_tol": 1e-12, "max_refinements": 1},
+        }
+    )
+    outcome = run(cfg)
+    assert outcome.exit_code == 3
+    assert [r.quantity for r in outcome.rows] == ["error"]
+    evidence = outcome.traces["error"]
+    assert [level[:2] for level in evidence["trace"]] == [[8, 32], [16, 64]]
+    assert evidence["partial"]["value"] == evidence["trace"][-1][2]
+    assert evidence["partial"]["achieved_rel_change"] > 1e-12
+    paths = emit_reports(outcome, tmp_path)
+    with open(paths["json"]) as fh:
+        assert json.load(fh)["traces"]["error"] == evidence
+    with open(paths["csv"], newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discop.errors import ParamError, SingularKernelError
-from discop.norms import double_integral_functional, validate_params
+from discop.errors import ConvergenceError, ParamError, SingularKernelError
+from discop.norms import _value_fn, double_integral_functional, validate_params
 from discop.operators import (
+    _composed_pair_sums,
     DiagonalBidiscSymbol,
     LiftParams,
     RankVerdict,
@@ -15,9 +16,16 @@ from discop.operators import (
     lift_norm_check,
     rank_sufficiency_check,
 )
-from discop.quadrature import QuadratureSettings
+from discop.quadrature import QuadratureSettings, build_disc_rule
 from discop.series import TruncatedPowerSeries, coefficients_of
-from discop.symbols import Identity, MobiusAuto, Monomial, Polynomial, verify_self_map
+from discop.symbols import (
+    FiniteBlaschke,
+    Identity,
+    MobiusAuto,
+    Monomial,
+    Polynomial,
+    verify_self_map,
+)
 from oracles import V1_SERIES, dirichlet_monomial_sq
 
 SMALL = QuadratureSettings(radial_count=16, angular_count=64, max_refinements=2)
@@ -258,3 +266,64 @@ def test_bound_check_rejects_constant_member():
     fam = [TruncatedPowerSeries([1.0])]
     with pytest.raises(ParamError, match="constant"):
         bound_check(fam, Identity(), 1.0, 0.5, settings=SMALL)
+
+
+def test_bound_check_rejects_constant_member_in_last_place():
+    fam = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries.monomial(2),
+           TruncatedPowerSeries([0.7])]
+    with pytest.raises(ParamError, match="family member flat is constant"):
+        bound_check(fam, Identity(), 1.0, 0.5, settings=SMALL, labels=["z", "z^2", "flat"])
+
+
+# --- batched composed pair engine ---------------------------------------------------
+
+
+def test_composed_pair_sums_match_full_matrix_reference():
+    """The block engine against the plain full-matrix sums, member by member."""
+    sigma, q, n_rad, n_ang = 1.0, 5.0, 6, 16
+    symbol = FiniteBlaschke(zeros=(0.4 + 0.2j, -0.3j), post_rotation=0.7)
+    family = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.5, -1.0j]),
+              TruncatedPowerSeries([1.0, 0.0, 0.0, 0.3 + 0.4j])]
+    rule = build_disc_rule(sigma, n_rad, n_ang)
+    z, w = rule.nodes, rule.weights
+    u = symbol.value(z)
+    den_comp = np.abs(1.0 - u[:, None] * np.conj(u[None, :])) ** q
+    den_plain = np.abs(1.0 - z[:, None] * np.conj(z[None, :])) ** q
+    kernel_q = den_comp / den_plain
+    off_diagonal = ~np.eye(len(z), dtype=bool)
+    # far below the true sup^q, and 1e-13 below the ratio of one node pair:
+    # the majorization fails there (inside the engine's round-off slack) and
+    # at every pair with a larger ratio
+    rel_tol = 1e-12
+    pivot = np.sort(kernel_q[off_diagonal])[off_diagonal.sum() // 2]
+    sup_q = pivot / ((1.0 + rel_tol) * (1.0 + 1e-13))
+    want_values, want_violations = [], []
+    for f in family:
+        fv = f(u)
+        num = np.abs(fv[:, None] - fv[None, :]) ** 2
+        want_values.append(float(np.sum(w[:, None] * w[None, :] * num / den_comp)))
+        bad = num / den_plain > sup_q * (num / den_comp) * (1.0 + rel_tol)
+        want_violations.append(int(np.count_nonzero(bad & off_diagonal)))
+
+    values, violations, pairs, max_kernel = _composed_pair_sums(
+        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang,
+        sup_q=sup_q, rel_tol=rel_tol,
+    )
+    assert pairs == len(z) ** 2
+    for got, want in zip(values, want_values):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert violations == want_violations
+    assert min(violations) > 0
+    assert max_kernel == pytest.approx(float(np.max(kernel_q)) ** (1.0 / q), rel=1e-12)
+
+    plain, none_violations, _, none_kernel = _composed_pair_sums(
+        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang
+    )
+    assert plain == values
+    assert none_violations is None and none_kernel is None
+
+    def blows_up(u):
+        return np.where(np.abs(u) < 0.5, np.inf, u)
+
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        _composed_pair_sums([_value_fn(family[0]), blows_up], symbol, sigma, q, n_rad, n_ang)
