@@ -1,5 +1,6 @@
-"""Dirichlet-type and bidisc Bergman norms, de Branges-Rovnyak kernels, and
-composition-operator bound checks on the unit disc."""
+"""Dirichlet-type norms and the bidisc Bergman norm of their lift,
+de Branges-Rovnyak kernels, and composition-operator bound checks on the
+unit disc."""
 
 from .errors import (
     ConfigError,
@@ -10,7 +11,6 @@ from .errors import (
     SymbolError,
 )
 from .kernels import (
-    KernelEvaluator,
     SupEstimate,
     SupSearchSettings,
     Verdict,
@@ -23,7 +23,6 @@ from .kernels import (
 from .norms import (
     NormResult,
     WeightParams,
-    bergman_norm_sq_bidisc,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
@@ -35,24 +34,17 @@ from .operators import (
     BoundCheckReport,
     BoundCheckRow,
     ContactSet,
-    DiagonalBidiscSymbol,
-    LiftEvaluator,
-    LiftParams,
     RankReport,
     RankVerdict,
     apply_composition,
     bound_check,
-    lift,
     lift_norm_check,
     rank_sufficiency_check,
 )
 from .quadrature import (
-    BidiscRule,
     DiscRule,
     QuadratureSettings,
-    build_bidisc_rule,
     build_disc_rule,
-    integrate_bidisc,
     integrate_disc,
     refine_until,
 )
@@ -67,8 +59,6 @@ from .symbols import (
     Rotation,
     SelfMapCheck,
     Symbol,
-    eval_symbol,
-    eval_symbol_deriv,
     symbol_from_spec,
     symbol_to_spec,
     verify_self_map,

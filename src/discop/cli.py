@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import COMMANDS, apply_overrides, parse_config
-from .errors import ConfigError, ConvergenceError, ParamError, SymbolError
+from .errors import ConfigError, ParamError
 from .harness import emit_reports, run
 
 
@@ -47,24 +47,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [E_CONFIG]: cannot read config: {exc}", file=sys.stderr)
         return 4
+    # run() turns numerical and symbol failures into report rows and exit
+    # codes; configuration and parameter errors end the run here
     try:
         config = parse_config(text, command=args.command)
         config = apply_overrides(config, out_dir=args.out, refine=args.refine, seed=args.seed)
-    except (ConfigError, ParamError) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 4
-
-    try:
         outcome = run(config)
     except (ConfigError, ParamError) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 4
-    except ConvergenceError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
-    except SymbolError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
 
     out_dir = config.out_dir or "reports"
     try:

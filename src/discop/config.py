@@ -28,7 +28,7 @@ from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params, validate_params
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
-from .symbols import MobiusAuto, Symbol, symbol_from_spec
+from .symbols import MobiusAuto, Symbol, _integer, symbol_from_spec
 
 COMMANDS = ("norm", "kernel-sup", "rank-check", "equivalence", "bound-check", "selfmap-check")
 
@@ -94,11 +94,11 @@ def _parse_family(obj):
         if "a" in obj:
             kwargs["a"] = _complex_value(obj["a"], "family.a")
         if "order" in obj:
-            kwargs["order"] = _number(obj["order"], "family.order", int)
+            kwargs["order"] = _number(obj["order"], "family.order", _integer)
         return _expand_named_family(
             name,
-            _number(obj.get("start", 1), "family.start", int),
-            _number(obj.get("stop", 8), "family.stop", int),
+            _number(obj.get("start", 1), "family.start", _integer),
+            _number(obj.get("stop", 8), "family.stop", _integer),
             **kwargs,
         )
     if isinstance(obj, list):
@@ -118,11 +118,12 @@ def _parse_family(obj):
 
 
 def _number(obj, where, kind=float):
-    """obj through int or float; an unreadable value names its field."""
+    """obj through float or _integer; an unreadable value names its field."""
     try:
         return kind(obj)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {obj!r}", field=where) from None
+        noun = "an integer" if kind is _integer else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {obj!r}", field=where) from None
 
 
 def _complex_value(obj, where):
@@ -164,16 +165,18 @@ def _settings_from(obj, cls, where):
         return cls()
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object", field=where)
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(obj) - allowed
+    fields = cls.__dataclass_fields__
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(
             f"unknown {where} fields: {sorted(unknown)}", field=where
         )
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}", field=where) from None
+    # every settings field is an int or a float
+    values = {
+        key: _number(value, f"{where}.{key}", _integer if fields[key].type == "int" else float)
+        for key, value in obj.items()
+    }
+    return cls(**values)
 
 
 def parse_config(obj, command: str | None = None) -> RunConfig:
@@ -237,7 +240,7 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
             raise ConfigError(f"{cfg_command} needs params", field="params")
         params = _parse_params(obj["params"], cfg_command)
 
-    seed = _number(obj.get("seed", 0), "seed", int)
+    seed = _number(obj.get("seed", 0), "seed", _integer)
     sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
     if "seed" not in (obj.get("sup_search") or {}):
         sup_search = replace(sup_search, seed=seed)
@@ -249,7 +252,7 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         params=params,
         quadrature=_settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature"),
         sup_search=sup_search,
-        selfmap_grid=_number(obj.get("selfmap_grid", 1024), "selfmap_grid", int),
+        selfmap_grid=_number(obj.get("selfmap_grid", 1024), "selfmap_grid", _integer),
         selfmap_tol=_number(obj.get("selfmap_tol", 1e-6), "selfmap_tol"),
         stability_rel_tol=_number(obj.get("stability_rel_tol", 0.02), "stability_rel_tol"),
         seed=seed,

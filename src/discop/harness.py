@@ -84,6 +84,21 @@ def _plain(value):
     return value
 
 
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _rows(outcome: RunOutcome, experiment: str, label: str, wall_ms: float):
+    """Row appender for one measured step: experiment, input and wall_ms bound."""
+
+    def add(quantity, value, method, tolerance, verdict):
+        outcome.rows.append(
+            ReportRow(experiment, label, quantity, value, method, tolerance, verdict, wall_ms)
+        )
+
+    return add
+
+
 def run(config: RunConfig) -> RunOutcome:
     """Execute the configured experiment; errors become rows + exit codes."""
     outcome = RunOutcome()
@@ -97,24 +112,14 @@ def run(config: RunConfig) -> RunOutcome:
     }
     try:
         dispatch[config.command](config, outcome)
-    except ConvergenceError as exc:
-        outcome.rows.append(
-            ReportRow(
-                experiment=config.command, input="", quantity="error",
-                value=str(exc), method="", tolerance="", verdict=exc.code, wall_ms=0.0,
-            )
-        )
-        # the report keeps the failure's evidence; the CSV row stays as it was
-        outcome.traces["error"] = {"partial": _plain(exc.partial), "trace": _plain(exc.trace)}
-        outcome.exit_code = _worst(outcome.exit_code, 3)
-    except SymbolError as exc:
-        outcome.rows.append(
-            ReportRow(
-                experiment=config.command, input="", quantity="error",
-                value=str(exc), method="", tolerance="", verdict=exc.code, wall_ms=0.0,
-            )
-        )
-        outcome.exit_code = _worst(outcome.exit_code, 2)
+    except (ConvergenceError, SymbolError) as exc:
+        _rows(outcome, config.command, "", 0.0)("error", str(exc), "", "", exc.code)
+        if isinstance(exc, ConvergenceError):
+            # the report keeps the failure's evidence; the CSV row stays as it was
+            outcome.traces["error"] = {"partial": _plain(exc.partial), "trace": _plain(exc.trace)}
+            outcome.exit_code = _worst(outcome.exit_code, 3)
+        else:
+            outcome.exit_code = _worst(outcome.exit_code, 2)
     return outcome
 
 
@@ -125,23 +130,12 @@ def _run_norm(config: RunConfig, outcome: RunOutcome):
         t0 = time.perf_counter()
         coeff = dirichlet_norm_sq_coeff(series, p)
         quad = dirichlet_norm_sq_quad(series, p, config.quadrature)
-        wall = (time.perf_counter() - t0) * 1e3
+        row = _rows(outcome, "norm", label, _ms_since(t0))
         scale = max(coeff.value_sq, quad.value_sq, 1e-300)
         agree = abs(coeff.value_sq - quad.value_sq) / scale <= NORM_AGREEMENT_RTOL
-        outcome.rows.append(
-            ReportRow(
-                experiment="norm", input=label, quantity="dirichlet_norm_sq",
-                value=coeff.value_sq, method="coefficient", tolerance=0.0,
-                verdict="Pass", wall_ms=wall,
-            )
-        )
-        outcome.rows.append(
-            ReportRow(
-                experiment="norm", input=label, quantity="dirichlet_norm_sq",
-                value=quad.value_sq, method="quadrature", tolerance=NORM_AGREEMENT_RTOL,
-                verdict="Pass" if agree else "Fail", wall_ms=wall,
-            )
-        )
+        row("dirichlet_norm_sq", coeff.value_sq, "coefficient", 0.0, "Pass")
+        row("dirichlet_norm_sq", quad.value_sq, "quadrature", NORM_AGREEMENT_RTOL,
+            "Pass" if agree else "Fail")
         outcome.traces[label] = [list(t) for t in (quad.trace or ())]
         plot.append((float(idx + 1), quad.value_sq))
         if not agree:
@@ -153,31 +147,14 @@ def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
     symbol = _verified(config.symbol)
     t0 = time.perf_counter()
     est = estimate_sup(symbol, config.sup_search)
-    wall = (time.perf_counter() - t0) * 1e3
-    label = symbol.describe()
-    outcome.rows.append(
-        ReportRow(
-            experiment="kernel-sup", input=label, quantity="kernel_sup",
-            value=est.value, method="grid", tolerance=config.sup_search.stabilization_rel_tol,
-            verdict=est.verdict.value, wall_ms=wall,
-        )
-    )
-    outcome.rows.append(
-        ReportRow(
-            experiment="kernel-sup", input=label, quantity="argmax_angles",
-            value=f"{est.argmax[0].angle:.12g};{est.argmax[1].angle:.12g}",
-            method="grid", tolerance="", verdict=est.verdict.value, wall_ms=wall,
-        )
-    )
+    row = _rows(outcome, "kernel-sup", symbol.describe(), _ms_since(t0))
+    verdict = est.verdict.value
+    row("kernel_sup", est.value, "grid", config.sup_search.stabilization_rel_tol, verdict)
+    row("argmax_angles", f"{est.argmax[0].angle:.12g};{est.argmax[1].angle:.12g}",
+        "grid", "", verdict)
     if est.interior_max is not None:
-        outcome.rows.append(
-            ReportRow(
-                experiment="kernel-sup", input=label, quantity="interior_max",
-                value=est.interior_max, method="sample",
-                tolerance=config.sup_search.interior_rel_margin,
-                verdict=est.verdict.value, wall_ms=wall,
-            )
-        )
+        row("interior_max", est.interior_max, "sample",
+            config.sup_search.interior_rel_margin, verdict)
     outcome.traces["sup"] = [list(t) for t in est.trace]
     outcome.plots["sup_trace"] = [(float(g), float(v)) for g, v in est.trace]
     if est.verdict is Verdict.UNBOUNDED:
@@ -186,33 +163,24 @@ def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
         outcome.exit_code = _worst(outcome.exit_code, 3)
 
 
+def _min_deriv_row(row, report):
+    row("min_deriv_modulus", "" if report.min_deriv_modulus is None else report.min_deriv_modulus,
+        "scan", report.deriv_tol, report.verdict.value)
+
+
 def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     symbol = _verified(config.symbol)
     t0 = time.perf_counter()
     report = rank_sufficiency_check(symbol)
-    wall = (time.perf_counter() - t0) * 1e3
-    label = symbol.describe()
+    row = _rows(outcome, "rank-check", symbol.describe(), _ms_since(t0))
     contact_desc = (
         "full-circle"
         if report.contact.full_circle
         else ";".join(f"{p.angle:.12g}" for p in report.contact.points) or "empty"
     )
-    outcome.rows.append(
-        ReportRow(
-            experiment="rank-check", input=label, quantity="contact_set",
-            value=contact_desc, method="scan",
-            tolerance="exhaustive" if report.contact.exhaustive else "heuristic",
-            verdict=report.verdict.value, wall_ms=wall,
-        )
-    )
-    outcome.rows.append(
-        ReportRow(
-            experiment="rank-check", input=label, quantity="min_deriv_modulus",
-            value="" if report.min_deriv_modulus is None else report.min_deriv_modulus,
-            method="scan", tolerance=report.deriv_tol,
-            verdict=report.verdict.value, wall_ms=wall,
-        )
-    )
+    row("contact_set", contact_desc, "scan",
+        "exhaustive" if report.contact.exhaustive else "heuristic", report.verdict.value)
+    _min_deriv_row(row, report)
     angles = 2.0 * np.pi * np.arange(256) / 256
     dmod = np.abs(symbol.deriv(np.exp(1j * angles)))
     outcome.plots["deriv_modulus"] = [(float(a), float(d)) for a, d in zip(angles, dmod)]
@@ -231,31 +199,22 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
         if denominator.value_sq <= 0.0:
             raise ParamError(f"family member {label} is constant; ratio undefined")
         functional = double_integral_functional(series, config.params, config.quadrature)
-        wall = (time.perf_counter() - t0) * 1e3
+        row = _rows(outcome, "equivalence", label, _ms_since(t0))
         ratio = functional.value_sq / denominator.value_sq
         prev = float(np.real(functional.trace[-2][2])) / denominator.value_sq
         change = abs(ratio - prev) / max(abs(ratio), abs(prev))
         stable = change <= config.stability_rel_tol
         ratios.append(ratio)
-        outcome.rows.append(
-            ReportRow(
-                experiment="equivalence", input=label, quantity="equivalence_ratio",
-                value=ratio, method="quadrature/coefficient",
-                tolerance=config.stability_rel_tol,
-                verdict="Pass" if stable else "Fail", wall_ms=wall,
-            )
-        )
+        row("equivalence_ratio", ratio, "quadrature/coefficient", config.stability_rel_tol,
+            "Pass" if stable else "Fail")
         outcome.traces[label] = [list(t) for t in functional.trace]
         plot.append((float(idx + 1), ratio))
         if not stable:
             outcome.exit_code = _worst(outcome.exit_code, 3)
     band = max(ratios) / min(ratios)
-    outcome.rows.append(
-        ReportRow(
-            experiment="equivalence", input="family", quantity="ratio_band",
-            value=band, method="quadrature/coefficient", tolerance="",
-            verdict="Pass" if np.isfinite(band) and band > 0 else "Fail", wall_ms=0.0,
-        )
+    _rows(outcome, "equivalence", "family", 0.0)(
+        "ratio_band", band, "quadrature/coefficient", "",
+        "Pass" if np.isfinite(band) and band > 0 else "Fail",
     )
     outcome.plots["ratios"] = plot
 
@@ -265,14 +224,9 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
     label = symbol.describe()
     t0 = time.perf_counter()
     sup = estimate_sup(symbol, config.sup_search)
-    wall = (time.perf_counter() - t0) * 1e3
-    outcome.rows.append(
-        ReportRow(
-            experiment="bound-check", input=label, quantity="kernel_sup",
-            value=sup.value, method="grid",
-            tolerance=config.sup_search.stabilization_rel_tol,
-            verdict=sup.verdict.value, wall_ms=wall,
-        )
+    _rows(outcome, "bound-check", label, _ms_since(t0))(
+        "kernel_sup", sup.value, "grid", config.sup_search.stabilization_rel_tol,
+        sup.verdict.value,
     )
     outcome.traces["sup"] = [list(t) for t in sup.trace]
     if sup.verdict is not Verdict.BOUNDED:
@@ -283,15 +237,7 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
 
     t0 = time.perf_counter()
     rank = rank_sufficiency_check(symbol)
-    wall = (time.perf_counter() - t0) * 1e3
-    outcome.rows.append(
-        ReportRow(
-            experiment="bound-check", input=label, quantity="min_deriv_modulus",
-            value="" if rank.min_deriv_modulus is None else rank.min_deriv_modulus,
-            method="scan", tolerance=rank.deriv_tol,
-            verdict=rank.verdict.value, wall_ms=wall,
-        )
-    )
+    _min_deriv_row(_rows(outcome, "bound-check", label, _ms_since(t0)), rank)
     if rank.verdict is RankVerdict.FAIL:
         outcome.exit_code = _worst(outcome.exit_code, 2)
         return
@@ -309,82 +255,41 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         sup=sup,
         labels=[lbl for lbl, _ in config.family],
     )
-    wall = (time.perf_counter() - t0) * 1e3
-    per_row_wall = wall / max(len(report.rows), 1)
+    per_row_wall = _ms_since(t0) / max(len(report.rows), 1)
     plot = []
-    for idx, row in enumerate(report.rows):
-        stable = row.ratio_rel_change <= config.stability_rel_tol
-        clean = row.violations == 0
-        outcome.rows.append(
-            ReportRow(
-                experiment="bound-check", input=row.label, quantity="bound_ratio",
-                value=row.ratio, method="quadrature/coefficient",
-                tolerance=config.stability_rel_tol,
-                verdict="Pass" if (stable and clean) else "Fail",
-                wall_ms=per_row_wall,
-            )
-        )
-        outcome.rows.append(
-            ReportRow(
-                experiment="bound-check", input=row.label, quantity="pointwise_violations",
-                value=row.violations, method="quadrature", tolerance=1e-12,
-                verdict="Pass" if clean else "Fail", wall_ms=per_row_wall,
-            )
-        )
-        outcome.rows.append(
-            ReportRow(
-                experiment="bound-check", input=row.label, quantity="composed_pair_integral",
-                value=row.eq_intermediate_sq.value_sq, method="quadrature",
-                tolerance=row.eq_intermediate_sq.rel_error_estimate,
-                verdict="Pass", wall_ms=per_row_wall,
-            )
-        )
-        outcome.traces[row.label] = [list(t) for t in (row.comp_norm_sq.trace or ())]
-        plot.append((float(idx + 1), row.ratio))
+    for idx, result in enumerate(report.rows):
+        row = _rows(outcome, "bound-check", result.label, per_row_wall)
+        stable = result.ratio_rel_change <= config.stability_rel_tol
+        clean = result.violations == 0
+        row("bound_ratio", result.ratio, "quadrature/coefficient", config.stability_rel_tol,
+            "Pass" if (stable and clean) else "Fail")
+        row("pointwise_violations", result.violations, "quadrature", 1e-12,
+            "Pass" if clean else "Fail")
+        row("composed_pair_integral", result.eq_intermediate_sq.value_sq, "quadrature",
+            result.eq_intermediate_sq.rel_error_estimate, "Pass")
+        outcome.traces[result.label] = [list(t) for t in (result.comp_norm_sq.trace or ())]
+        plot.append((float(idx + 1), result.ratio))
         if not (stable and clean):
             outcome.exit_code = _worst(outcome.exit_code, 3)
     outcome.plots["bound_ratios"] = plot
 
 
 def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
-    symbol = config.symbol
-    label = symbol.describe()
-    angles = 2.0 * np.pi * np.arange(256) / 256
+    label = config.symbol.describe()
     t0 = time.perf_counter()
     try:
-        check = verify_self_map(symbol, config.selfmap_grid, config.selfmap_tol)
+        check = verify_self_map(config.symbol, config.selfmap_grid, config.selfmap_tol)
     except SymbolError as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        outcome.rows.append(
-            ReportRow(
-                experiment="selfmap-check", input=label, quantity="max_modulus",
-                value=str(exc), method="scan", tolerance=config.selfmap_tol,
-                verdict="Fail", wall_ms=wall,
-            )
+        _rows(outcome, "selfmap-check", label, _ms_since(t0))(
+            "max_modulus", str(exc), "scan", config.selfmap_tol, "Fail"
         )
         outcome.exit_code = _worst(outcome.exit_code, 2)
         return
-    wall = (time.perf_counter() - t0) * 1e3
-    outcome.rows.append(
-        ReportRow(
-            experiment="selfmap-check", input=label, quantity="max_modulus",
-            value=check.max_modulus, method="scan", tolerance=config.selfmap_tol,
-            verdict="Pass", wall_ms=wall,
-        )
-    )
-    outcome.rows.append(
-        ReportRow(
-            experiment="selfmap-check", input=label, quantity="boundary_contact",
-            value=int(check.boundary_contact), method="scan",
-            tolerance=config.selfmap_tol, verdict="Pass", wall_ms=wall,
-        )
-    )
-    if isinstance(check.symbol, Polynomial):
-        from .symbols import _horner
-
-        mods = np.abs(_horner(check.symbol.coeffs, np.exp(1j * angles)))
-    else:
-        mods = np.abs(check.symbol.value(np.exp(1j * angles)))
+    row = _rows(outcome, "selfmap-check", label, _ms_since(t0))
+    row("max_modulus", check.max_modulus, "scan", config.selfmap_tol, "Pass")
+    row("boundary_contact", int(check.boundary_contact), "scan", config.selfmap_tol, "Pass")
+    angles = 2.0 * np.pi * np.arange(256) / 256
+    mods = np.abs(check.symbol.value(np.exp(1j * angles)))
     outcome.plots["boundary_modulus"] = [
         (float(a), float(m)) for a, m in zip(angles, mods)
     ]

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParamError, SingularKernelError, SymbolError
-from .symbols import BoundaryPoint, Polynomial, Symbol, contact_indicator
+from .errors import ConvergenceError, ParamError, SingularKernelError
+from .symbols import BoundaryPoint, Symbol, contact_indicator
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,22 +39,11 @@ TWO_PI = 2.0 * np.pi
 MIN_DENOMINATOR = 1e-13
 
 
-@dataclass(frozen=True)
-class KernelEvaluator:
-    """Callable wrapper binding a verified symbol to its kernel."""
-
-    symbol: Symbol
-
-    def __post_init__(self):
-        if isinstance(self.symbol, Polynomial) and not self.symbol.verified:
-            raise SymbolError("kernel evaluation needs a verified polynomial symbol")
-
-    def __call__(self, z, w):
-        return eval_kernel(self.symbol, z, w)
-
-
 def eval_kernel(symbol: Symbol, z, w, min_denominator: float = MIN_DENOMINATOR):
-    """k(z, w) for points of the closed bidisc off the boundary diagonal."""
+    """k(z, w) for points of the closed bidisc off the boundary diagonal.
+
+    An unverified polynomial symbol raises SymbolError.
+    """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     den = 1.0 - z * np.conj(w)

@@ -1,4 +1,4 @@
-"""Norms on the disc and bidisc, and the pairwise double-integral functional.
+"""Dirichlet-type norms on the disc and the pairwise double-integral functional.
 
 The squared Dirichlet-type norm with radial weight exponent p is
 
@@ -33,8 +33,6 @@ from .quadrature import (
     DEFAULT_DISC_SETTINGS,
     QuadratureSettings,
     build_disc_rule,
-    integrate_bidisc,
-    build_bidisc_rule,
     integrate_disc,
     refine_until,
 )
@@ -188,37 +186,6 @@ def dirichlet_norm_sq_quad(
     )
 
 
-def bergman_norm_sq_bidisc(
-    F, sigma: float, settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS
-) -> NormResult:
-    """Squared norm iint |F(z,w)|^2 dA_sigma(z) dA_sigma(w) by tensor quadrature.
-
-    Only the modulus of F is consumed: F may expose ``modulus(z, w)`` or be a
-    plain callable returning complex values.
-    """
-    if hasattr(F, "modulus_sq"):
-        mod_sq = F.modulus_sq
-    elif hasattr(F, "modulus"):
-        mod_sq = lambda z, w: F.modulus(z, w) ** 2  # noqa: E731
-    elif callable(F):
-        mod_sq = lambda z, w: abs_sq(F(z, w))  # noqa: E731
-    else:
-        raise ParamError(f"cannot evaluate object of type {type(F).__name__} on the bidisc")
-
-    def functional(n_rad, n_ang):
-        rule = build_bidisc_rule(sigma, sigma, n_rad, n_ang)
-        val = integrate_bidisc(rule, mod_sq)
-        return float(np.real(val))
-
-    refined = refine_until(settings, functional)
-    return NormResult(
-        value_sq=max(float(np.real(refined.value)), 0.0),
-        method="quadrature",
-        rel_error_estimate=refined.achieved_rel_change,
-        trace=refined.trace,
-    )
-
-
 def pairwise_difference_integral(
     value_fn, sigma: float, tau: float, q: float, n_rad: int, n_ang: int
 ) -> float:
@@ -227,7 +194,7 @@ def pairwise_difference_integral(
     Exploits the tensor structure: for fixed radii the kernel depends on the
     angle difference only, so the angular double sum collapses to a circular
     cross-correlation of the nodal values, evaluated with FFTs.  This is the
-    same nodal sum as the generic tensor accumulation, reassociated.
+    same nodal sum as a direct sum over all node pairs, reassociated.
     """
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
     rule_w = build_disc_rule(tau, n_rad, n_ang)

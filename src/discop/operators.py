@@ -14,9 +14,10 @@ anti-holomorphic in w, so for non-integer exponents a holomorphic branch on
 the bidisc is not available, while every downstream use consumes |.| only.
 The principal-branch modulus |1 - z conj(w)|^e is used.  With e = beta + 2
 the squared bidisc Bergman norm of the lift is, node for node, the pairwise
-double-integral functional with kernel exponent q = 2*(beta + 2); the two
-routes are evaluated on a shared refinement ladder so the identity can be
-asserted at round-off level.
+double-integral functional with kernel exponent q = 2*(beta + 2).
+``lift_norm_check`` sums it with the composed pair engine (identity symbol)
+and evaluates both routes on a shared refinement ladder, so the identity can
+be asserted at round-off level.
 
 The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
@@ -34,8 +35,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ._numutil import abs_sq, powq
-from .errors import ConvergenceError, ParamError, SingularKernelError
-from .kernels import MIN_DENOMINATOR, SupEstimate, SupSearchSettings, Verdict, estimate_sup
+from .errors import ConvergenceError, ParamError
+from .kernels import SupEstimate, SupSearchSettings, Verdict, estimate_sup
 from .norms import (
     NormResult,
     WeightParams,
@@ -49,6 +50,7 @@ from .norms import (
 from .quadrature import (
     DEFAULT_BIDISC_SETTINGS,
     QuadratureSettings,
+    _rel_change,
     build_disc_rule,
 )
 from .series import TruncatedPowerSeries
@@ -74,68 +76,6 @@ class ComposedFunction:
 def apply_composition(f, symbol: Symbol) -> ComposedFunction:
     """The composition operator applied to f (value and derivative evaluators)."""
     return ComposedFunction(f=f, symbol=symbol)
-
-
-@dataclass(frozen=True)
-class LiftParams:
-    """Exponent pair for the lift; the applied exponent is p_exp / gamma_exp."""
-
-    p_exp: float
-    gamma_exp: float
-
-    def __post_init__(self):
-        if self.p_exp <= 0 or self.gamma_exp <= 0:
-            raise ParamError("lift exponents must be strictly positive")
-
-    @property
-    def exponent(self) -> float:
-        return self.p_exp / self.gamma_exp
-
-
-@dataclass(frozen=True)
-class LiftEvaluator:
-    """Modulus evaluator of the lift of f at exponent e."""
-
-    f: object
-    exponent: float
-
-    def modulus(self, z, w):
-        """|f(z) - f(w)| / |1 - z conj(w)|^e; singular on the boundary diagonal."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        den_sq = abs_sq(1.0 - z * np.conj(w))
-        if np.any(den_sq <= MIN_DENOMINATOR**2):
-            raise SingularKernelError(
-                "lift evaluation too close to the boundary diagonal"
-            )
-        value = _value_fn(self.f)
-        return np.abs(value(z) - value(w)) / powq(den_sq, self.exponent)
-
-    def modulus_sq(self, z, w):
-        """Squared modulus; the doubled exponent is usually a small integer."""
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        den_sq = abs_sq(1.0 - z * np.conj(w))
-        if np.any(den_sq <= MIN_DENOMINATOR**2):
-            raise SingularKernelError(
-                "lift evaluation too close to the boundary diagonal"
-            )
-        value = _value_fn(self.f)
-        return abs_sq(value(z) - value(w)) / powq(den_sq, 2.0 * self.exponent)
-
-
-def lift(f, params: LiftParams) -> LiftEvaluator:
-    return LiftEvaluator(f=f, exponent=params.exponent)
-
-
-@dataclass(frozen=True)
-class DiagonalBidiscSymbol:
-    """Phi(z1, z2) = (phi(z1), phi(z2)), a componentwise self-map of the bidisc."""
-
-    base: Symbol
-
-    def value(self, z1, z2):
-        return self.base.value(z1), self.base.value(z2)
 
 
 @dataclass(frozen=True)
@@ -198,8 +138,7 @@ def lift_norm_check(
         d_new, l_new = d_eval(n_rad, n_ang), l_eval(n_rad, n_ang)
         d_trace.append((n_rad, n_ang, d_new))
         l_trace.append((n_rad, n_ang, l_new))
-        scale = max(abs(d_new), abs(d_val))
-        change = abs(d_new - d_val) / scale if scale > 1e-12 else 0.0
+        change = _rel_change(d_new, d_val)
         d_val, l_val = d_new, l_new
         if change <= settings.target_rel_tol:
             break

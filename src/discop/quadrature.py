@@ -1,4 +1,4 @@
-"""Radially weighted quadrature on the unit disc and tensor rules on the bidisc.
+"""Radially weighted quadrature on the unit disc and the refinement driver.
 
 Measure conventions used throughout the library:
 
@@ -26,10 +26,6 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, ParamError
-
-#: row-block size for tensor (bidisc) accumulation; fixed so that the
-#: summation order, and hence the result, is deterministic
-_CHUNK_ROWS = 512
 
 
 @lru_cache(maxsize=256)
@@ -86,45 +82,12 @@ def build_disc_rule(sigma: float, n_rad: int, n_ang: int) -> DiscRule:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BidiscRule:
-    """Tensor product of two disc rules (z and w factors)."""
-
-    rule_z: DiscRule
-    rule_w: DiscRule
-
-
-def build_bidisc_rule(sigma: float, tau: float, n_rad: int, n_ang: int) -> BidiscRule:
-    return BidiscRule(
-        rule_z=build_disc_rule(sigma, n_rad, n_ang),
-        rule_w=build_disc_rule(tau, n_rad, n_ang),
-    )
-
-
 def integrate_disc(rule: DiscRule, g):
     """Weighted nodal sum of g over the disc rule (deterministic order)."""
     vals = np.asarray(g(rule.nodes))
     if not np.all(np.isfinite(vals)):
         raise ConvergenceError("integrand is non-finite at a quadrature node")
     return np.sum(rule.weights * vals)
-
-
-def integrate_bidisc(rule: BidiscRule, g):
-    """Tensor nodal sum of g(z, w); g must broadcast over (nz, nw) grids.
-
-    Accumulation runs over fixed-size row blocks so the reduction order does
-    not depend on anything but the rule sizes.
-    """
-    zn, zw = rule.rule_z.nodes, rule.rule_z.weights
-    wn, ww = rule.rule_w.nodes, rule.rule_w.weights
-    parts = []
-    for lo in range(0, len(zn), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(zn))
-        block = np.asarray(g(zn[lo:hi, None], wn[None, :]))
-        if not np.all(np.isfinite(block)):
-            raise ConvergenceError("integrand is non-finite at a quadrature node pair")
-        parts.append(np.sum((zw[lo:hi, None] * block) * ww[None, :]))
-    return np.sum(np.asarray(parts))
 
 
 @dataclass(frozen=True)
@@ -156,7 +119,7 @@ class QuadratureSettings:
 #: so the driver can insist on near-exactness
 DEFAULT_DISC_SETTINGS = QuadratureSettings(target_rel_tol=1e-9, max_refinements=2)
 
-#: defaults for tensor (bidisc) integrals with near-diagonal kernels, whose
+#: defaults for bidisc pair integrals with near-diagonal kernels, whose
 #: refinement gains per step are percent-scale
 DEFAULT_BIDISC_SETTINGS = QuadratureSettings(target_rel_tol=0.05, max_refinements=2)
 

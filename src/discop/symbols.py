@@ -13,11 +13,13 @@ arrays of points in the closed disc.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParamError, SymbolError
+from .series import TruncatedPowerSeries, differentiate, eval_series
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,14 +179,6 @@ class FiniteBlaschke(Symbol):
         return f"blaschke([{zs}], rot={self.post_rotation:g})"
 
 
-def _horner(coeffs, z):
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
 @dataclass(frozen=True)
 class Polynomial(Symbol):
     """Polynomial symbol; only usable after verify_self_map has set ``verified``."""
@@ -198,32 +192,20 @@ class Polynomial(Symbol):
             raise ParamError("a polynomial symbol needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def value(self, z):
+    def _series(self):
         if not self.verified:
             raise SymbolError("polynomial symbol was not verified as a self-map")
-        return _horner(self.coeffs, z)
+        return TruncatedPowerSeries(self.coeffs)
+
+    def value(self, z):
+        return eval_series(self._series(), z)
 
     def deriv(self, z):
-        if not self.verified:
-            raise SymbolError("polynomial symbol was not verified as a self-map")
-        if len(self.coeffs) == 1:
-            return np.zeros_like(np.asarray(z, dtype=complex))
-        dcoeffs = tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:]))
-        return _horner(dcoeffs, z)
+        return eval_series(differentiate(self._series()), z)
 
     def describe(self):
         cs = ",".join(f"{c:g}" for c in self.coeffs)
         return f"poly([{cs}])"
-
-
-def eval_symbol(symbol: Symbol, z):
-    """phi(z); raises SymbolError for unverified polynomial symbols."""
-    return symbol.value(z)
-
-
-def eval_symbol_deriv(symbol: Symbol, z):
-    """phi'(z) from the closed form of the variant."""
-    return symbol.deriv(z)
 
 
 @dataclass(frozen=True)
@@ -253,11 +235,10 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
     if grid_size < 256:
         raise ParamError("self-map verification needs grid_size >= 256")
     theta = TWO_PI * np.arange(grid_size) / grid_size
-    zeta = np.exp(1j * theta)
-    if isinstance(symbol, Polynomial):
-        mods = np.abs(_horner(symbol.coeffs, zeta))
-    else:
-        mods = np.abs(symbol.value(zeta))
+    # a polynomial is scanned through its verified copy, which is returned
+    # when the scan passes
+    checked = replace(symbol, verified=True) if isinstance(symbol, Polynomial) else symbol
+    mods = np.abs(checked.value(np.exp(1j * theta)))
     worst = int(np.argmax(mods))
     max_mod = float(mods[worst])
     if max_mod > 1.0 + tol:
@@ -265,9 +246,8 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
             f"{symbol.describe()} is not a self-map: |phi| = {max_mod:.6g} at angle {theta[worst]:.6g}",
             angle=float(theta[worst]),
         )
-    verified = replace(symbol, verified=True) if isinstance(symbol, Polynomial) else symbol
     return SelfMapCheck(
-        symbol=verified,
+        symbol=checked,
         max_modulus=max_mod,
         worst_angle=BoundaryPoint(theta[worst]),
         boundary_contact=bool(max_mod >= 1.0 - tol),
@@ -296,6 +276,15 @@ def _complex_from_obj(obj, where):
         except (TypeError, ValueError):
             pass
     raise ParamError(f"{where}: complex values must be numbers or {{'re':..,'im':..}} objects")
+
+
+def _integer(value):
+    """An integral number as int: 2 and 2.0 are read, 2.5, "2" and true are not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
 
 
 def _spec_field(spec, key, convert, default=None):
@@ -330,7 +319,7 @@ def symbol_from_spec(spec: dict) -> Symbol:
             post_rotation=_spec_field(spec, "post_rotation", float, 0.0),
         )
     if kind == "monomial":
-        return Monomial(k=_spec_field(spec, "k", int))
+        return Monomial(k=_spec_field(spec, "k", _integer))
     if kind == "blaschke":
         return FiniteBlaschke(
             zeros=_spec_field(spec, "zeros", _complex_list("symbol.zeros")),

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_parse_minimal_kernel_sup():
     cfg = parse_config({"command": "kernel-sup", "symbol": {"type": "mobius", "a": {"re": 0.5, "im": 0.0}}})
     assert cfg.command == "kernel-sup"
     assert cfg.symbol.a == 0.5
+    # integer fields read integral floats as ints
+    cfg = parse_config(
+        {
+            "command": "kernel-sup",
+            "symbol": {"type": "monomial", "k": 2.0},
+            "sup_search": {"initial_grid": 64.0},
+            "quadrature": {"radial_count": 16.0},
+        }
+    )
+    assert type(cfg.symbol.k) is int and cfg.symbol.k == 2
+    assert cfg.sup_search.initial_grid == 64 and cfg.quadrature.radial_count == 16
 
 
 def test_parse_rejects_beta_above_window():
@@ -456,12 +468,60 @@ def test_cli_command_must_match_config(tmp_path, capsys):
             },
             "family member flat is constant",
         ),
+        ({"command": "kernel-sup", "symbol": {"type": "monomial", "k": 2.5}}, "symbol.k"),
+        (
+            {
+                "command": "norm",
+                "family": {"name": "monomials", "start": 1.7},
+                "params": {"sigma": 1.0, "beta": 0.5},
+            },
+            "family.start",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"},
+             "sup_search": {"local_grid": 33.5}},
+            "sup_search.local_grid",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"},
+             "sup_search": {"initial_grid": 256.5}},
+            "sup_search.initial_grid",
+        ),
+        (
+            {
+                "command": "norm",
+                "family": "monomials:1..2",
+                "params": {"sigma": 1.0, "beta": 0.5},
+                "quadrature": {"radial_count": 8.5},
+            },
+            "quadrature.radial_count",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"},
+             "sup_search": {"stabilization_rel_tol": "x"}},
+            "sup_search.stabilization_rel_tol",
+        ),
     ],
 )
 def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):
     path = _write_config(tmp_path, "bad.json", payload)
     assert cli_main([payload["command"], "--config", path, "--out", str(tmp_path / "out")]) == 4
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
+    command = json.loads(path.read_text())["command"]
+    expected = 2 if path.stem == "kernel_sup_constant" else 0
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == expected
+    with open(tmp_path / "report.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == [
+            "experiment", "input", "quantity", "value", "method", "tolerance", "verdict", "wall_ms",
+        ]
+    capsys.readouterr()
 
 
 def test_run_keeps_convergence_evidence_in_json(tmp_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from discop.errors import ConvergenceError, ParamError, SingularKernelError
+from discop.errors import ConvergenceError, ParamError, SingularKernelError, SymbolError
 from discop.kernels import (
-    KernelEvaluator,
     SupSearchSettings,
     Verdict,
     closed_form_sup,
@@ -62,13 +61,10 @@ def test_kernel_singular_guard():
         eval_kernel(Identity(), 1.0, 1.0)
 
 
-def test_kernel_evaluator_wraps_symbol():
-    k = KernelEvaluator(Monomial(2))
-    assert k(0.2, 0.1j) == pytest.approx(1.0 + 0.2 * np.conj(0.1j))
-    from discop.errors import SymbolError
-
+def test_eval_kernel_value_and_unverified_polynomial():
+    assert eval_kernel(Monomial(2), 0.2, 0.1j) == pytest.approx(1.0 + 0.2 * np.conj(0.1j))
     with pytest.raises(SymbolError):
-        KernelEvaluator(Polynomial([0.5, 0.25]))
+        eval_kernel(Polynomial([0.5, 0.25]), 0.2, 0.1j)
 
 
 # --- diagonal boundary values -------------------------------------------------

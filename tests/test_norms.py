@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from discop.errors import ParamError
 from discop.norms import (
-    bergman_norm_sq_bidisc,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
     equivalence_ratio,
+    pairwise_difference_integral,
     validate_main_theorem_params,
     validate_params,
 )
+from discop.operators import _composed_pair_sums
 from discop.quadrature import QuadratureSettings
 from discop.series import TruncatedPowerSeries
+from discop.symbols import Identity
 from oracles import (
     PAIRWISE_MONOMIAL_SIGMA1_BETA05,
     V1_QUAD_4X,
@@ -174,19 +176,13 @@ def test_homogeneity(scale):
 # --- bidisc Bergman norm -----------------------------------------------------
 
 
-def test_bergman_constant_one():
-    res = bergman_norm_sq_bidisc(lambda z, w: np.ones(np.broadcast(z, w).shape), 1.0)
-    assert res.value_sq == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bergman_product():
-    res = bergman_norm_sq_bidisc(lambda z, w: z * w, 1.0)
-    assert res.value_sq == pytest.approx(1.0 / 9.0, rel=1e-10)
-
-
 def test_bergman_difference():
-    res = bergman_norm_sq_bidisc(lambda z, w: z - w, 1.0)
-    assert res.value_sq == pytest.approx(2.0 / 3.0, rel=1e-10)
+    # iint |z - w|^2 dA_1 dA_1 = 2/3 at q = 0, through the brute-force pair
+    # engine (identity symbol) and the FFT pairwise integral alike
+    (pair_sum,), _, _, _ = _composed_pair_sums([lambda z: z], Identity(), 1.0, 0.0, 8, 16)
+    assert pair_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
+    fft_sum = pairwise_difference_integral(lambda z: z, 1.0, 1.0, 0.0, 8, 16)
+    assert fft_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 # --- pairwise double integral ------------------------------------------------
@@ -208,7 +204,6 @@ def test_double_integral_linear_matches_pinned_oracle():
 
 
 def test_brute_force_4x_matches_series_oracle():
-    from discop.norms import pairwise_difference_integral
     from discop.series import eval_series
 
     s = TruncatedPowerSeries.monomial(1)

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discop.errors import ConvergenceError, ParamError, SingularKernelError
+from discop.errors import ConvergenceError, ParamError
 from discop.norms import _value_fn, double_integral_functional, validate_params
 from discop.operators import (
     _composed_pair_sums,
-    DiagonalBidiscSymbol,
-    LiftParams,
     RankVerdict,
     apply_composition,
     bound_check,
-    lift,
     lift_norm_check,
     rank_sufficiency_check,
 )
@@ -81,51 +78,6 @@ def test_composition_linearity(scale, coeffs_f, coeffs_g):
     assert np.allclose(got, expected, atol=tol)
 
 
-# --- lift ----------------------------------------------------------------------
-
-
-def test_lift_constant_vanishes():
-    ev = lift(TruncatedPowerSeries([2.0]), LiftParams(2.0, 2.0))
-    z, w = 0.3, -0.4j
-    assert ev.modulus(z, w) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_lift_identity_exponent_one_is_pseudo_hyperbolic():
-    ev = lift(TruncatedPowerSeries.monomial(1), LiftParams(2.0, 2.0))
-    w = 0.3 + 0.4j
-    assert ev.modulus(0.0, w) == pytest.approx(abs(w))
-    rng = np.random.default_rng(0)
-    z = 0.9 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)) / np.sqrt(2)
-    u = 0.9 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50)) / np.sqrt(2)
-    expected = np.abs(z - u) / np.abs(1 - z * np.conj(u))
-    assert np.allclose(ev.modulus(z, u), expected, atol=1e-13)
-
-
-def test_lift_vanishes_on_diagonal_interior():
-    ev = lift(TruncatedPowerSeries.monomial(1), LiftParams(5.0, 2.0))
-    assert ev.modulus(0.5j, 0.5j) == 0.0
-
-
-def test_lift_modulus_sq_consistent():
-    ev = lift(TruncatedPowerSeries([0.0, 1.0, 0.3]), LiftParams(5.0, 2.0))
-    z, w = 0.4, -0.2 + 0.3j
-    assert ev.modulus_sq(z, w) == pytest.approx(ev.modulus(z, w) ** 2, rel=1e-12)
-
-
-def test_lift_guards_boundary_diagonal():
-    ev = lift(TruncatedPowerSeries.monomial(1), LiftParams(2.0, 2.0))
-    with pytest.raises(SingularKernelError):
-        ev.modulus(1.0, 1.0)
-
-
-def test_lift_params_positive():
-    with pytest.raises(ParamError):
-        LiftParams(0.0, 2.0)
-    with pytest.raises(ParamError):
-        LiftParams(2.0, -1.0)
-    assert LiftParams(5.0, 2.0).exponent == pytest.approx(2.5)
-
-
 # --- lift-norm route identity ---------------------------------------------------
 
 
@@ -161,16 +113,6 @@ def test_lift_norm_check_same_rule_as_functional():
 def test_lift_norm_check_validates_window():
     with pytest.raises(ParamError):
         lift_norm_check(TruncatedPowerSeries.monomial(1), 1.0, 1.0, settings=SMALL)
-
-
-# --- diagonal bidisc symbol -----------------------------------------------------
-
-
-def test_diagonal_symbol_components():
-    phi = DiagonalBidiscSymbol(Monomial(2))
-    a, b = phi.value(0.5, 0.3j)
-    assert a == pytest.approx(0.25)
-    assert b == pytest.approx(-0.09)
 
 
 # --- rank sufficiency ------------------------------------------------------------

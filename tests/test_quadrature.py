@@ -4,9 +4,7 @@ import pytest
 from discop.errors import ConvergenceError, ParamError
 from discop.quadrature import (
     QuadratureSettings,
-    build_bidisc_rule,
     build_disc_rule,
-    integrate_bidisc,
     integrate_disc,
     refine_until,
 )
@@ -65,23 +63,6 @@ def test_rejects_bad_weight_and_counts():
         build_disc_rule(1.0, 1, 16)
     with pytest.raises(ParamError):
         build_disc_rule(1.0, 8, 2)
-
-
-def test_bidisc_integrates_one():
-    rule = build_bidisc_rule(1.0, 1.0, 8, 16)
-    val = integrate_bidisc(rule, lambda z, w: np.ones(np.broadcast(z, w).shape))
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bidisc_product_moment():
-    rule = build_bidisc_rule(1.0, 1.0, 8, 16)
-    val = integrate_bidisc(rule, lambda z, w: (np.abs(z) * np.abs(w)) ** 2)
-    assert val == pytest.approx(1.0 / 9.0, abs=1e-12)
-
-
-def test_bidisc_angular_symmetry():
-    rule = build_bidisc_rule(1.0, 1.0, 8, 16)
-    assert abs(integrate_bidisc(rule, lambda z, w: z * np.conj(w))) < 1e-14
 
 
 def test_integrate_rejects_nonfinite_nodes():
