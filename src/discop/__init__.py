@@ -15,7 +15,6 @@ from .kernels import (
     SupSearchSettings,
     Verdict,
     closed_form_sup,
-    diagonal_boundary_value,
     estimate_sup,
     eval_kernel,
     pointwise_kernel_identity_check,

@@ -50,7 +50,6 @@ class RunConfig:
     selfmap_grid: int = 1024
     selfmap_tol: float = 1e-6
     stability_rel_tol: float = 0.02
-    seed: int = 0
     out_dir: str | None = None
 
 
@@ -176,7 +175,10 @@ def _settings_from(obj, cls, where):
         key: _number(value, f"{where}.{key}", _integer if fields[key].type == "int" else float)
         for key, value in obj.items()
     }
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ParamError as exc:
+        raise ParamError(f"{where}.{exc}") from None
 
 
 def parse_config(obj, command: str | None = None) -> RunConfig:
@@ -240,10 +242,9 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
             raise ConfigError(f"{cfg_command} needs params", field="params")
         params = _parse_params(obj["params"], cfg_command)
 
-    seed = _number(obj.get("seed", 0), "seed", _integer)
     sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
     if "seed" not in (obj.get("sup_search") or {}):
-        sup_search = replace(sup_search, seed=seed)
+        sup_search = replace(sup_search, seed=_number(obj.get("seed", 0), "seed", _integer))
 
     return RunConfig(
         command=cfg_command,
@@ -255,7 +256,6 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         selfmap_grid=_number(obj.get("selfmap_grid", 1024), "selfmap_grid", _integer),
         selfmap_tol=_number(obj.get("selfmap_tol", 1e-6), "selfmap_tol"),
         stability_rel_tol=_number(obj.get("stability_rel_tol", 0.02), "stability_rel_tol"),
-        seed=seed,
         out_dir=obj.get("out_dir"),
     )
 
@@ -266,6 +266,9 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
     ``refine`` multiplies the base quadrature counts by refinement_factor^k
     (the sup-search grid is left alone; it refines itself).
     """
+    for flag, value in (("--refine", refine), ("--seed", seed)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}", field=flag)
     if out_dir is not None:
         config = replace(config, out_dir=str(out_dir))
     if refine:
@@ -280,9 +283,5 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
             ),
         )
     if seed is not None:
-        config = replace(
-            config,
-            seed=int(seed),
-            sup_search=replace(config.sup_search, seed=int(seed)),
-        )
+        config = replace(config, sup_search=replace(config.sup_search, seed=int(seed)))
     return config

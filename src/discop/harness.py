@@ -34,6 +34,7 @@ from .norms import (
     double_integral_functional,
 )
 from .operators import RankVerdict, bound_check, rank_sufficiency_check
+from .quadrature import _rel_change
 from .symbols import Polynomial, Symbol, verify_self_map
 
 CSV_COLUMNS = ("experiment", "input", "quantity", "value", "method", "tolerance", "verdict", "wall_ms")
@@ -131,8 +132,7 @@ def _run_norm(config: RunConfig, outcome: RunOutcome):
         coeff = dirichlet_norm_sq_coeff(series, p)
         quad = dirichlet_norm_sq_quad(series, p, config.quadrature)
         row = _rows(outcome, "norm", label, _ms_since(t0))
-        scale = max(coeff.value_sq, quad.value_sq, 1e-300)
-        agree = abs(coeff.value_sq - quad.value_sq) / scale <= NORM_AGREEMENT_RTOL
+        agree = _rel_change(quad.value_sq, coeff.value_sq) <= NORM_AGREEMENT_RTOL
         row("dirichlet_norm_sq", coeff.value_sq, "coefficient", 0.0, "Pass")
         row("dirichlet_norm_sq", quad.value_sq, "quadrature", NORM_AGREEMENT_RTOL,
             "Pass" if agree else "Fail")
@@ -201,9 +201,8 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
         functional = double_integral_functional(series, config.params, config.quadrature)
         row = _rows(outcome, "equivalence", label, _ms_since(t0))
         ratio = functional.value_sq / denominator.value_sq
-        prev = float(np.real(functional.trace[-2][2])) / denominator.value_sq
-        change = abs(ratio - prev) / max(abs(ratio), abs(prev))
-        stable = change <= config.stability_rel_tol
+        # the denominator is exact, so the ratio moves as the functional does
+        stable = functional.rel_error_estimate <= config.stability_rel_tol
         ratios.append(ratio)
         row("equivalence_ratio", ratio, "quadrature/coefficient", config.stability_rel_tol,
             "Pass" if stable else "Fail")
@@ -259,7 +258,7 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
     plot = []
     for idx, result in enumerate(report.rows):
         row = _rows(outcome, "bound-check", result.label, per_row_wall)
-        stable = result.ratio_rel_change <= config.stability_rel_tol
+        stable = result.comp_norm_sq.rel_error_estimate <= config.stability_rel_tol
         clean = result.violations == 0
         row("bound_ratio", result.ratio, "quadrature/coefficient", config.stability_rel_tol,
             "Pass" if (stable and clean) else "Fail")

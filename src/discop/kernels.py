@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParamError, SingularKernelError
+from .errors import ParamError, SingularKernelError
 from .symbols import BoundaryPoint, Symbol, contact_indicator
 
 TWO_PI = 2.0 * np.pi
@@ -95,53 +95,6 @@ def _diag_values_batch(symbol: Symbol, angles, stab_tol=1e-8):
     return np.where(confirmed, dmod, limit), ok
 
 
-def diagonal_boundary_value(
-    symbol: Symbol,
-    point: BoundaryPoint,
-    radii=None,
-    contact_tol: float = 1e-6,
-    stab_tol: float = 1e-8,
-) -> float:
-    """Radial limit of k(r zeta, r zeta) at a boundary-contact point.
-
-    The sequence (1-|phi(r zeta)|^2)/(1-r^2) is extrapolated to r = 1; for a
-    contact point of a C^1 symbol the limit equals |phi'(zeta)|, and that
-    closed form is used as a cross-check.  Raises ConvergenceError when the
-    radial sequence does not stabilize (in particular when zeta is not an
-    actual contact point, where the limit is infinite).
-    """
-    angle = point.angle if isinstance(point, BoundaryPoint) else float(point)
-    zeta = np.exp(1j * angle)
-    gap = float(1.0 - np.abs(symbol.value(np.asarray(zeta))))
-    if gap > contact_tol:
-        raise ParamError(
-            f"angle {angle:.6g} is not a boundary-contact candidate (1 - |phi| = {gap:.3e})"
-        )
-    if radii is None:
-        limit, ok = _diag_values_batch(symbol, [angle], stab_tol=stab_tol)
-        if not ok[0]:
-            raise ConvergenceError(
-                f"radial diagonal extrapolation did not stabilize at angle {angle:.6g}",
-                partial=float(limit[0]),
-            )
-        return float(limit[0])
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) < 3 or np.any(np.diff(radii) <= 0) or radii[-1] >= 1:
-        raise ParamError("radii must be an increasing sequence of length >= 3 inside (0, 1)")
-    hs = 1.0 - radii[::-1]
-    rows = [
-        np.atleast_1d((1.0 - np.abs(symbol.value(r * zeta)) ** 2) / (1.0 - r * r))
-        for r in radii[::-1]
-    ]
-    limit, corr = _neville_to_zero(hs, rows)
-    if corr[0] > stab_tol * max(1.0, abs(limit[0])):
-        raise ConvergenceError(
-            f"radial diagonal extrapolation did not stabilize at angle {angle:.6g}",
-            partial=float(limit[0]),
-        )
-    return float(limit[0])
-
-
 def closed_form_sup(symbol: Symbol) -> float:
     """Exact sup |k| for the catalog subset with a closed form.
 
@@ -182,12 +135,17 @@ class SupSearchSettings:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with its field name; the config layer prefixes it
         if self.initial_grid < 16:
-            raise ParamError("initial grid too small")
+            raise ParamError(f"initial_grid must be >= 16, got {self.initial_grid}")
         if self.local_grid < 5 or self.local_grid % 2 == 0:
-            raise ParamError("local grid must be odd and >= 5")
+            raise ParamError(f"local_grid must be odd and >= 5, got {self.local_grid}")
         if self.growth_factor <= 1.0:
-            raise ParamError("growth factor must exceed 1")
+            raise ParamError(f"growth_factor must exceed 1, got {self.growth_factor:g}")
+        if self.interior_samples < 1:
+            raise ParamError(f"interior_samples must be >= 1, got {self.interior_samples}")
+        if self.seed < 0:
+            raise ParamError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_SUP_SETTINGS = SupSearchSettings()

@@ -195,6 +195,10 @@ def pairwise_difference_integral(
     angle difference only, so the angular double sum collapses to a circular
     cross-correlation of the nodal values, evaluated with FFTs.  This is the
     same nodal sum as a direct sum over all node pairs, reassociated.
+
+    |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
+    the value at the first z node: a constant then gives exactly 0, and an f
+    close to a constant does not cancel in the expanded square.
     """
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
     rule_w = build_disc_rule(tau, n_rad, n_ang)
@@ -203,6 +207,7 @@ def pairwise_difference_integral(
     fw = np.asarray(value_fn(rule_w.nodes), dtype=complex).reshape(n_rad, m)
     if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(fw))):
         raise ConvergenceError("integrand is non-finite at a quadrature node")
+    fz, fw = fz - fz[0, 0], fw - fz[0, 0]
     mean_sq_z = np.mean(np.abs(fz) ** 2, axis=1)
     mean_sq_w = np.mean(np.abs(fw) ** 2, axis=1)
     spec_z = np.fft.fft(fz, axis=1)
@@ -262,11 +267,10 @@ def equivalence_ratio(
     (removing one source of quadrature error from the ratio); both sides are
     homogeneous of degree 2, so the ratio is scale-invariant.
     """
-    numerator = double_integral_functional(f, params, settings)
     if isinstance(f, TruncatedPowerSeries):
         denominator = dirichlet_norm_sq_coeff(f, params.p_dirichlet)
     else:
         denominator = dirichlet_norm_sq_quad(f, params.p_dirichlet)
     if denominator.value_sq <= 0.0:
         raise ParamError("equivalence ratio undefined for constant functions")
-    return numerator.value_sq / denominator.value_sq
+    return double_integral_functional(f, params, settings).value_sq / denominator.value_sq

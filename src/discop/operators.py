@@ -149,10 +149,8 @@ def lift_norm_check(
             trace=tuple(d_trace),
         )
 
-    gap_scale = max(abs(d_val), abs(l_val))
-    gap_abs = abs(d_val - l_val)
-    route_gap = gap_abs / gap_scale if gap_scale > 1e-12 else gap_abs
-    if gap_abs > route_tol * gap_scale + 1e-12:
+    route_gap = _rel_change(l_val, d_val)
+    if route_gap > route_tol:
         raise ConvergenceError(
             f"lift route identity violated: relative gap {route_gap:.3e} > {route_tol:g}",
             partial=(l_val, d_val),
@@ -338,10 +336,11 @@ def _symbol_degree(symbol: Symbol):
 class BoundCheckRow:
     """Per-function outcome of the composition bound check.
 
-    ``ratio`` is ||C_phi f||^2 / (sup^q ||f||^2);  ``eq_intermediate_sq`` the
-    composed-kernel double integral (the quantity the proof's middle step
-    bounds); ``violations`` counts quadrature node pairs where the pointwise
-    majorization by sup^q failed beyond round-off.
+    ``ratio`` is ||C_phi f||^2 / (sup^q ||f||^2), whose refinement move is
+    ``comp_norm_sq.rel_error_estimate`` (the denominator is exact);
+    ``eq_intermediate_sq`` the composed-kernel double integral (the quantity
+    the proof's middle step bounds); ``violations`` counts quadrature node
+    pairs where the pointwise majorization by sup^q failed beyond round-off.
     """
 
     label: str
@@ -349,7 +348,6 @@ class BoundCheckRow:
     f_norm_sq: NormResult
     eq_intermediate_sq: NormResult
     ratio: float
-    ratio_rel_change: float
     violations: int
     nodes_checked: int
     max_node_kernel: float
@@ -498,14 +496,7 @@ def bound_check(
         f_norm = dirichlet_norm_sq_coeff(f, p)
         if f_norm.value_sq <= 0.0:
             raise ParamError(f"family member {label} is constant; ratio undefined")
-        ratio = comp_norm.value_sq / (sup_q * f_norm.value_sq)
-        prev_val = comp_norm.trace[-2][2] if comp_norm.trace and len(comp_norm.trace) > 1 else None
-        if prev_val is not None:
-            prev_ratio = float(np.real(prev_val)) / (sup_q * f_norm.value_sq)
-            ratio_change = abs(ratio - prev_ratio) / max(abs(ratio), abs(prev_ratio))
-        else:
-            ratio_change = 0.0
-        norms.append((comp_norm, f_norm, ratio, ratio_change))
+        norms.append((comp_norm, f_norm, comp_norm.value_sq / (sup_q * f_norm.value_sq)))
     value_fns = [_value_fn(f) for f in family]
     eq_coarse, _, _, _ = _composed_pair_sums(value_fns, symbol, sigma, q, coarse_rad, coarse_ang)
     eq_base, violations, checked, max_kernel = _composed_pair_sums(
@@ -513,14 +504,13 @@ def bound_check(
         settings.radial_count, settings.angular_count, sup_q=sup_q,
     )
     rows = []
-    for label, (comp_norm, f_norm, ratio, ratio_change), coarse, base, bad in zip(
+    for label, (comp_norm, f_norm, ratio), coarse, base, bad in zip(
         labels, norms, eq_coarse, eq_base, violations
     ):
-        eq_scale = max(abs(base), abs(coarse))
         eq6 = NormResult(
             value_sq=max(base, 0.0),
             method="quadrature",
-            rel_error_estimate=abs(base - coarse) / eq_scale if eq_scale > 0 else 0.0,
+            rel_error_estimate=_rel_change(base, coarse),
             trace=(
                 (coarse_rad, coarse_ang, coarse),
                 (settings.radial_count, settings.angular_count, base),
@@ -533,7 +523,6 @@ def bound_check(
                 f_norm_sq=f_norm,
                 eq_intermediate_sq=eq6,
                 ratio=ratio,
-                ratio_rel_change=ratio_change,
                 violations=bad,
                 nodes_checked=checked,
                 max_node_kernel=max_kernel,

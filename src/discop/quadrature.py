@@ -105,14 +105,17 @@ class QuadratureSettings:
     max_refinements: int = 2
 
     def __post_init__(self):
-        if self.radial_count < 2 or self.angular_count < 4:
-            raise ParamError("quadrature counts too small")
+        # each message starts with its field name; the config layer prefixes it
+        if self.radial_count < 2:
+            raise ParamError(f"radial_count must be >= 2, got {self.radial_count}")
+        if self.angular_count < 4:
+            raise ParamError(f"angular_count must be >= 4, got {self.angular_count}")
         if self.refinement_factor < 2:
-            raise ParamError("refinement factor must be >= 2")
+            raise ParamError(f"refinement_factor must be >= 2, got {self.refinement_factor}")
         if not (0.0 < self.target_rel_tol <= 0.1):
-            raise ParamError("target_rel_tol must lie in (0, 0.1]")
+            raise ParamError(f"target_rel_tol must lie in (0, 0.1], got {self.target_rel_tol:g}")
         if self.max_refinements < 1:
-            raise ParamError("need at least one refinement")
+            raise ParamError(f"max_refinements must be >= 1, got {self.max_refinements}")
 
 
 #: defaults for one-variable (disc) integrals: Gauss rules converge fast,
@@ -134,12 +137,13 @@ class RefinedValue:
 
 
 def _rel_change(new, old):
-    # values at the double-precision noise floor of a squared norm count as
-    # converged zeros
+    """|new - old| relative to the larger modulus; 0 only when both are 0.
+
+    No absolute floor: the quantities compared are 2-homogeneous in f, so a
+    verdict must not depend on the scale of f.
+    """
     scale = max(abs(new), abs(old))
-    if scale <= 1e-12:
-        return 0.0
-    return abs(new - old) / scale
+    return abs(new - old) / scale if scale else 0.0
 
 
 def refine_until(settings: QuadratureSettings, functional) -> RefinedValue:

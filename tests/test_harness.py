@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,11 @@ from discop.cli import main as cli_main
 from discop.config import apply_overrides, parse_config
 from discop.errors import ConfigError, ParamError
 from discop.harness import emit_reports, run, RunOutcome
+from discop.kernels import SupSearchSettings
+from discop.quadrature import QuadratureSettings
 
 FAST_QUAD = {"radial": 8, "angular": 32}
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def _fast_quad():
@@ -501,6 +506,21 @@ def test_cli_command_must_match_config(tmp_path, capsys):
              "sup_search": {"stabilization_rel_tol": "x"}},
             "sup_search.stabilization_rel_tol",
         ),
+        ({"command": "kernel-sup", "symbol": {"type": "identity"}, "seed": -1}, "seed"),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"}, "sup_search": {"seed": -1}},
+            "sup_search.seed",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"},
+             "sup_search": {"interior_samples": 0}},
+            "sup_search.interior_samples",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"},
+             "sup_search": {"interior_samples": -1}},
+            "sup_search.interior_samples",
+        ),
     ],
 )
 def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):
@@ -509,10 +529,17 @@ def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, paylo
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
-    ids=lambda path: path.stem,
-)
+def test_cli_refuses_negative_seed_and_refine(tmp_path, capsys):
+    path = _write_config(
+        tmp_path, "ok.json", {"command": "kernel-sup", "symbol": {"type": "identity"}}
+    )
+    for flag in ("--seed", "--refine"):
+        argv = ["kernel-sup", "--config", path, "--out", str(tmp_path / "out"), flag, "-1"]
+        assert cli_main(argv) == 4
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
 def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
     command = json.loads(path.read_text())["command"]
     expected = 2 if path.stem == "kernel_sup_constant" else 0
@@ -522,6 +549,71 @@ def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
             "experiment", "input", "quantity", "value", "method", "tolerance", "verdict", "wall_ms",
         ]
     capsys.readouterr()
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path into nested objects and lists, parents first."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+_DROP = object()
+
+
+def _mutated(config, path, value):
+    """A deep copy of config with the entry at path set to value, or dropped."""
+    out = copy.deepcopy(config)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+def test_config_sweep_never_escapes(tmp_path, capsys):
+    # every bundled config on a small rule, with every optional field present;
+    # each key path is then dropped or set to a value of the wrong type, sign
+    # or size, and the run must end in an exit code, never in an exception
+    sweeps = []
+    for path in BUNDLED:
+        config = {k: v for k, v in json.loads(path.read_text()).items() if k != "out_dir"}
+        config.update(seed=5, selfmap_grid=256, selfmap_tol=1e-6, stability_rel_tol=0.02)
+        config["quadrature"] = asdict(
+            QuadratureSettings(radial_count=8, angular_count=16, max_refinements=1)
+        )
+        config["sup_search"] = asdict(SupSearchSettings(initial_grid=64, local_grid=17))
+        sweeps.append((config, list(_key_paths(config))))
+        # without sup_search the top-level seed reaches the settings
+        sweeps.append(({k: v for k, v in config.items() if k != "sup_search"}, [("seed",)]))
+    variants = {}
+    for config, key_paths in sweeps:
+        for key_path in key_paths:
+            for value in (None, "x", True, [], {}, -1, 0, 2.5, _DROP):
+                variant = _mutated(config, key_path, value)
+                variants[json.dumps(variant, sort_keys=True)] = (config["command"], variant)
+    assert len(variants) > 500
+    escaped = []
+    for text, (command, variant) in variants.items():
+        path = _write_config(tmp_path, "fuzz.json", variant)
+        try:
+            code = cli_main([command, "--config", path, "--out", str(tmp_path / "out")])
+        except Exception as exc:  # the sweep reports every escape, not only the first
+            escaped.append(f"{text}: {exc!r}")
+            continue
+        if code not in (0, 2, 3, 4):
+            escaped.append(f"{text}: exit {code}")
+    capsys.readouterr()
+    assert not escaped, "\n".join(escaped[:10])
 
 
 def test_run_keeps_convergence_evidence_in_json(tmp_path):

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from discop.errors import ConvergenceError, ParamError, SingularKernelError, SymbolError
+from discop.errors import ParamError, SingularKernelError, SymbolError
 from discop.kernels import (
     SupSearchSettings,
     Verdict,
+    _diag_values_batch,
     closed_form_sup,
-    diagonal_boundary_value,
     estimate_sup,
     eval_kernel,
     pointwise_kernel_identity_check,
 )
 from discop.symbols import (
-    BoundaryPoint,
     FiniteBlaschke,
     Identity,
     MobiusAuto,
@@ -70,47 +69,25 @@ def test_eval_kernel_value_and_unverified_polynomial():
 # --- diagonal boundary values -------------------------------------------------
 
 
-def test_diagonal_value_identity():
-    assert diagonal_boundary_value(Identity(), BoundaryPoint(0.7)) == pytest.approx(1.0)
-
-
-def test_diagonal_value_monomial():
-    val = diagonal_boundary_value(Monomial(2), BoundaryPoint(0.0))
-    assert val == pytest.approx(2.0, abs=1e-9)
-
-
-def test_diagonal_value_contact_polynomial():
-    poly = verify_self_map(Polynomial([0.5, 0.5])).symbol
-    val = diagonal_boundary_value(poly, BoundaryPoint(0.0))
-    assert val == pytest.approx(0.5, abs=1e-9)
-
-
-def test_diagonal_value_matches_closed_form_derivative():
-    for sym, angle in [(MobiusAuto(0.5), 0.0), (MobiusAuto(0.3j), 1.2), (Monomial(3), 2.0)]:
-        val = diagonal_boundary_value(sym, BoundaryPoint(angle))
-        expected = abs(sym.deriv(np.exp(1j * angle)))
-        assert val == pytest.approx(float(expected), rel=1e-8)
-
-
-def test_diagonal_value_rejects_noncontact_point():
-    poly = verify_self_map(Polynomial([0.3])).symbol
-    with pytest.raises(ParamError):
-        diagonal_boundary_value(poly, BoundaryPoint(0.5))
-
-
-def test_diagonal_value_custom_radii():
-    radii = 1.0 - 0.25 * 0.5 ** np.arange(8)
-    val = diagonal_boundary_value(Monomial(2), BoundaryPoint(0.0), radii=radii)
-    assert val == pytest.approx(2.0, abs=1e-8)
-    with pytest.raises(ParamError):
-        diagonal_boundary_value(Monomial(2), BoundaryPoint(0.0), radii=radii[::-1])
-
-
-def test_diagonal_value_unstable_sequence_raises():
-    # too few, too coarse radii cannot stabilize the extrapolation cross-check
-    poly = verify_self_map(Polynomial([0.5, 0.5])).symbol
-    with pytest.raises((ConvergenceError, ParamError)):
-        diagonal_boundary_value(poly, BoundaryPoint(0.0), radii=np.array([0.1, 0.2, 0.3]))
+@pytest.mark.parametrize(
+    "symbol, angle, expected",
+    [
+        (Identity(), 0.7, 1.0),
+        (Monomial(2), 0.0, 2.0),
+        (verify_self_map(Polynomial([0.5, 0.5])).symbol, 0.0, 0.5),
+        # the radial limit at a contact point is the angular derivative |phi'|
+        (MobiusAuto(0.5), 0.0, None),
+        (MobiusAuto(0.3j), 1.2, None),
+        (Monomial(3), 2.0, None),
+    ],
+    ids=["identity", "z^2", "contact-poly", "mobius-0.5", "mobius-0.3i", "z^3"],
+)
+def test_diagonal_radial_limit(symbol, angle, expected):
+    (value,), (ok,) = _diag_values_batch(symbol, [angle])
+    if expected is None:
+        expected = float(abs(symbol.deriv(np.exp(1j * angle))))
+    assert ok
+    assert value == pytest.approx(expected, abs=1e-9)
 
 
 # --- closed-form suprema ------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from discop.errors import ParamError
+from discop.errors import ConvergenceError, ParamError
 from discop.norms import (
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
@@ -190,8 +190,55 @@ def test_bergman_difference():
 
 def test_double_integral_constant_is_zero():
     params = validate_params(1.0, 1.0, 0.5)
-    res = double_integral_functional(TruncatedPowerSeries([4.0]), params)
-    assert res.value_sq <= 1e-12
+    for c in (4.0, 1.5, 1000.0):
+        res = double_integral_functional(TruncatedPowerSeries([c]), params)
+        assert res.value_sq == 0.0
+        assert res.rel_error_estimate == 0.0
+
+
+_CUBIC = TruncatedPowerSeries([0.0, 1.0, 0.5, -0.25j])
+
+
+@given(
+    scale=st.complex_numbers(
+        min_magnitude=1e-8, max_magnitude=1e8, allow_nan=False, allow_infinity=False
+    )
+)
+@example(scale=1e-8)
+@example(scale=1e8)
+def test_double_integral_scale_invariant_convergence(scale):
+    # the functional is 2-homogeneous; its convergence test must be too
+    params = validate_params(1.0, 1.0, 0.5)
+    base = double_integral_functional(_CUBIC, params)
+    scaled = double_integral_functional(scale * _CUBIC, params)
+    assert scaled.value_sq == pytest.approx(abs(scale) ** 2 * base.value_sq, rel=1e-12)
+    assert len(scaled.trace) == len(base.trace)
+    assert scaled.rel_error_estimate == pytest.approx(base.rel_error_estimate, abs=1e-12)
+
+
+@given(
+    shift=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+)
+@example(shift=1e3)
+def test_double_integral_blind_to_constants(shift):
+    params = validate_params(1.0, 1.0, 0.5)
+    base = double_integral_functional(_CUBIC, params)
+    shifted = TruncatedPowerSeries([shift, *_CUBIC.coeffs[1:]])
+    res = double_integral_functional(shifted, params)
+    assert res.value_sq == pytest.approx(base.value_sq, rel=1e-11)
+
+
+def test_tiny_function_fails_refinement_like_its_unit_multiple():
+    params = validate_params(1.0, 1.0, 0.95)
+    rule = QuadratureSettings(
+        radial_count=8, angular_count=16, target_rel_tol=1e-3, max_refinements=1
+    )
+    changes = []
+    for c in (1.0, 1e-7):
+        with pytest.raises(ConvergenceError) as info:
+            double_integral_functional(c * TruncatedPowerSeries.monomial(40), params, rule)
+        changes.append(info.value.partial.achieved_rel_change)
+    assert changes[1] == pytest.approx(changes[0], rel=1e-12)
 
 
 def test_double_integral_linear_matches_pinned_oracle():

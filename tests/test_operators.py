@@ -194,7 +194,7 @@ def test_bound_check_monomial_two_closed_form():
         assert row.ratio == pytest.approx(expected_ratio, rel=1e-9)
         assert row.violations == 0
         assert row.max_node_kernel <= report.sup.value * (1 + 1e-9)
-        assert row.ratio_rel_change <= 0.02
+        assert row.comp_norm_sq.rel_error_estimate <= 0.02
 
 
 def test_bound_check_requires_bounded_kernel():
