@@ -6,7 +6,8 @@ sigma = tau = 1, beta = 0.5:
 
 * the rotation-invariant series expansion (tests/oracles.py), Richardson-
   extrapolated in the truncation length;
-* brute-force tensor quadrature at 4x the default resolution.
+* the FFT pairwise quadrature (``pairwise_difference_integral``) on a
+  128x512 rule, 4x the default resolution.
 
 Their agreement (about 1e-5 here, limited by the quadrature) is what
 justifies pinning both numbers.

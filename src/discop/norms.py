@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln
 
-from ._numutil import abs_sq, powq
+from ._numutil import powq
 from .errors import ConvergenceError, ParamError
 from .quadrature import (
     DEFAULT_BIDISC_SETTINGS,
@@ -174,8 +174,12 @@ def dirichlet_norm_sq_quad(
 
     def functional(n_rad, n_ang):
         rule = build_disc_rule(p, n_rad, n_ang)
-        val = integrate_disc(rule, lambda z: abs_sq(np.asarray(deriv(z))))
-        return float(np.real(val)) / (p + 1.0)
+        # f' over a power of two near its largest modulus: exact, no subnormal squares
+        vals = np.asarray(deriv(rule.nodes))
+        e = int(np.frexp(np.max(np.abs(vals)))[1])
+        re, im = np.ldexp(vals.real, -e), np.ldexp(vals.imag, -e)
+        val = integrate_disc(rule, lambda z: re * re + im * im)
+        return float(np.ldexp(np.real(val), 2 * e)) / (p + 1.0)
 
     refined = refine_until(settings, functional)
     return NormResult(

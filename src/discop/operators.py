@@ -17,7 +17,8 @@ the squared bidisc Bergman norm of the lift is, node for node, the pairwise
 double-integral functional with kernel exponent q = 2*(beta + 2).
 ``lift_norm_check`` sums it with the composed pair engine (identity symbol)
 and evaluates both routes on a shared refinement ladder, so the identity can
-be asserted at round-off level.
+be asserted at round-off level.  The engine works in Gram form: per block of
+rows, one rank-4 product for the kernel and one product for all members.
 
 The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
@@ -361,18 +362,10 @@ class BoundCheckReport:
     sup_power_q: float
 
 
-def _pair_kernel_sq(x, y, s, rows, cols, scratch):
-    """|1 - u_i conj(u_j)|^2 for the row/col slices, via real outer products.
-
-    ``scratch`` (block-shaped) holds the partial products; the result is a
-    fresh array.
-    """
-    out = np.multiply.outer(x[rows], x[cols])
-    out += np.multiply.outer(y[rows], y[cols], out=scratch)
-    out *= -2.0
-    out += 1.0
-    out += np.multiply.outer(s[rows], s[cols], out=scratch)
-    return out
+def _kernel_sq_factors(u):
+    """|1 - u_i conj(u_j)|^2 as the product of [1, x, y, |u|^2]_i and [1, -2x, -2y, |u|^2]_j."""
+    one, x, y, s = np.ones(len(u)), u.real, u.imag, abs_sq(u)
+    return np.stack([one, x, y, s], axis=1), np.stack([one, -2.0 * x, -2.0 * y, s])
 
 
 def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, rel_tol=1e-12):
@@ -382,76 +375,79 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
     iint |F(z)-F(w)|^2 / |1 - conj(phi(w)) phi(z)|^q dA_sigma^2.  The
     integrand is symmetric in the node pair and its diagonal vanishes, so only
     the strict upper triangle is summed (with doubled weight), in fixed row
-    blocks.  The weighted kernel 2 w_i w_j / |1 - conj(phi_j) phi_i|^q depends
-    on the symbol and the rule only: each block of it is built once and every
-    member is contracted against it, members in the inner loop so the order
-    of the sums is fixed.
+    blocks.  The sum is taken in Gram form.  V holds F minus its value at the
+    first node, which |F_i - F_j|^2 does not see (a constant gives exactly 0
+    and an F close to a constant does not cancel).  Each block's squared
+    kernel is one rank-4 product, D is its elementwise 1/(.)^(q/2), and one
+    product P = D @ (w * [1, |V|^2, Re V, Im V]) serves every member:
+
+        sum_j D_ij w_j |V_i - V_j|^2 = |V_i|^2 P_i0 + P_i,|V|^2 - 2 Re(conj(V_i) P_i,V).
+
+    Every entry of a product is summed by one thread, so the values do not
+    depend on the BLAS thread count.
 
     With ``sup_q`` given, the same pass counts for every member the node pairs
     violating the majorization  plain-kernel integrand <= sup_q * composed
     integrand  beyond ``rel_tol`` (mirrored to ordered pairs), and tracks the
     largest |kernel| over the node pairs.  Where F_i != F_j, f cancels from
-    the test, which then reads den_comp/den_plain > sup_q (1 + rel_tol); the
-    exact per-member predicate is evaluated only on the pairs whose ratio comes
-    within round-off of that threshold.  Returns (values, violations, pairs,
-    max_kernel); the check fields are None when sup_q is None.
+    the test, which then reads comp_sq/plain_sq > (sup_q (1 + rel_tol))^(2/q)
+    for the squared kernel moduli; the exact per-member predicate is
+    evaluated only on the pairs whose ratio comes within round-off of that
+    threshold.  Returns (values, violations, pairs, max_kernel); the check
+    fields are None when sup_q is None.
     """
     rule = build_disc_rule(sigma, n_rad, n_ang)
     nodes, weights = rule.nodes, rule.weights
     phi_vals = np.asarray(symbol.value(nodes), dtype=complex)
-    members = []
-    for value_fn in value_fns:
-        f_vals = np.asarray(value_fn(phi_vals), dtype=complex)
-        if not np.all(np.isfinite(f_vals)):
-            raise ConvergenceError("composed integrand is non-finite at a quadrature node")
-        members.append((f_vals.real, f_vals.imag))
-    ux, uy, us = phi_vals.real, phi_vals.imag, abs_sq(phi_vals)
+    total, count = len(nodes), len(value_fns)
+    f_vals = np.empty((total, count), dtype=complex)
+    for k, value_fn in enumerate(value_fns):
+        f_vals[:, k] = value_fn(phi_vals)
+    if not np.all(np.isfinite(f_vals)):
+        raise ConvergenceError("composed integrand is non-finite at a quadrature node")
+    v = f_vals - f_vals[0]
+    v_sq = abs_sq(v)
+    rhs = weights[:, None] * np.hstack([np.ones((total, 1)), v_sq, v.real, v.imag])
+    comp_left, comp_right = _kernel_sq_factors(phi_vals)
     if sup_q is not None:
-        zx, zy, zs = nodes.real, nodes.imag, abs_sq(nodes)
+        plain_left, plain_right = _kernel_sq_factors(nodes)
         # the exact predicate runs on the pairs above this threshold only; its
-        # slack covers the round-off of the predicate's three divisions
-        threshold = sup_q * (1.0 + rel_tol) * (1.0 - 1e-12)
-    total = len(nodes)
-    parts = [[] for _ in members]
-    violations = [0] * len(members)
-    max_kernel_pow_q = 0.0
+        # slack covers the round-off of the powers and the predicate's divisions
+        threshold = (sup_q * (1.0 + rel_tol)) ** (2.0 / q) * (1.0 - 1e-12)
+    parts, violations, max_ratio_sq = [], np.zeros(count, dtype=int), 0.0
     for lo in range(0, total, 512):
         hi = min(lo + 512, total)
-        rows, cols = slice(lo, hi), slice(lo, total)
         # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
         # part below it are zeroed
         lower = np.tril_indices(hi - lo)
-        scratch = np.empty((hi - lo, total - lo))
-        kernel = powq(_pair_kernel_sq(ux, uy, us, rows, cols, scratch), q)
+        comp_sq = comp_left[lo:hi] @ comp_right[:, lo:]
         if sup_q is not None:
-            den_plain = powq(_pair_kernel_sq(zx, zy, zs, rows, cols, scratch), q)
-            ratio = np.divide(kernel, den_plain, out=scratch)
-            max_kernel_pow_q = max(max_kernel_pow_q, float(np.max(ratio)))
-            candidates = ratio > threshold
+            plain_sq = plain_left[lo:hi] @ plain_right[:, lo:]
+            ratio_sq = comp_sq / plain_sq
+            max_ratio_sq = max(max_ratio_sq, float(np.max(ratio_sq)))
+            candidates = ratio_sq > threshold
             candidates[lower] = False
-            candidates = np.nonzero(candidates)
-            cand_comp, cand_plain = kernel[candidates], den_plain[candidates]
-            del den_plain
-        np.multiply.outer(2.0 * weights[rows], weights[cols], out=scratch)
-        kernel = np.divide(scratch, kernel, out=kernel)
-        kernel[lower] = 0.0
-        buf = np.empty_like(scratch)
-        for k, (fx, fy) in enumerate(members):
-            np.subtract.outer(fx[rows], fx[cols], out=buf)
-            buf *= buf
-            np.subtract.outer(fy[rows], fy[cols], out=scratch)
-            scratch *= scratch
-            buf += scratch
-            if sup_q is not None and len(cand_comp):
-                num = buf[candidates]
+            i, j = np.nonzero(candidates)
+            if len(i):
+                cand_comp = powq(comp_sq[i, j], q)[:, None]
+                cand_plain = powq(plain_sq[i, j], q)[:, None]
+                num = abs_sq(f_vals[lo + i] - f_vals[lo + j])
                 bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + rel_tol)
-                violations[k] += 2 * int(np.count_nonzero(bad))
-            buf *= kernel
-            parts[k].append(np.sum(buf))
-    values = [float(np.sum(np.asarray(p))) for p in parts]
+                violations += 2 * np.count_nonzero(bad, axis=0)
+            del plain_sq, ratio_sq
+        kernel = powq(comp_sq, q)
+        np.divide(1.0, kernel, out=kernel)
+        kernel[lower] = 0.0
+        p = kernel @ rhs[lo:]
+        del comp_sq, kernel
+        vb = v[lo:hi]
+        cross = vb.real * p[:, 1 + count : 1 + 2 * count] + vb.imag * p[:, 1 + 2 * count :]
+        term = v_sq[lo:hi] * p[:, :1] + p[:, 1 : 1 + count] - 2.0 * cross
+        parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
+    values = [2.0 * float(x) for x in np.sum(np.asarray(parts), axis=0)]
     if sup_q is None:
         return values, None, total**2, None
-    return values, violations, total**2, max_kernel_pow_q ** (1.0 / q)
+    return values, violations.tolist(), total**2, float(np.sqrt(max_ratio_sq))
 
 
 def bound_check(

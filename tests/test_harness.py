@@ -320,15 +320,28 @@ def _strip_wall(path):
     return [row[:-1] for row in rows]
 
 
-def test_csv_deterministic_up_to_wall_ms(tmp_path):
-    cfg = parse_config(
-        {
-            "command": "equivalence",
-            "family": "monomials:1..2",
-            "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
-            "quadrature": _fast_quad(),
-        }
-    )
+DETERMINISM_CONFIGS = {
+    "equivalence": {
+        "command": "equivalence",
+        "family": "monomials:1..2",
+        "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
+        "quadrature": _fast_quad(),
+    },
+    # the composed pair engine, its majorization screen and the bound rows
+    "bound-check": {
+        "command": "bound-check",
+        "symbol": {"type": "blaschke", "zeros": [{"re": 0.4, "im": 0.2}], "post_rotation": 0.7},
+        "family": "monomials:1..3",
+        "params": {"sigma": 1.0, "beta": 0.5},
+        "quadrature": {"radial_count": 8, "angular_count": 32, "max_refinements": 2},
+        "sup_search": _fast_sup(),
+    },
+}
+
+
+@pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
+def test_csv_deterministic_up_to_wall_ms(tmp_path, name):
+    cfg = parse_config(DETERMINISM_CONFIGS[name])
     emit_reports(run(cfg), tmp_path / "a")
     emit_reports(run(cfg), tmp_path / "b")
     assert _strip_wall(tmp_path / "a" / "report.csv") == _strip_wall(tmp_path / "b" / "report.csv")

@@ -126,6 +126,19 @@ def test_quad_norm_constant():
     assert res.value_sq <= 1e-14
 
 
+@pytest.mark.parametrize("scale", [2.4156809098717717e-159, 1e-160, 1e150])
+def test_quad_norm_refines_like_unit_multiple(scale):
+    # |f'|^2 of the tiny scales is subnormal; the refinement must still move
+    # as it does for the unit multiple, and the value is |scale|^2 times its
+    # value up to the spacing of the subnormals
+    unit = dirichlet_norm_sq_quad(TruncatedPowerSeries([0.0, 1.0, 0.3j]), 1.0)
+    scaled = dirichlet_norm_sq_quad(TruncatedPowerSeries([0.0, scale, 0.3j * scale]), 1.0)
+    assert scaled.rel_error_estimate == pytest.approx(unit.rel_error_estimate, abs=1e-12)
+    assert len(scaled.trace) == len(unit.trace)
+    want = scale**2 * unit.value_sq
+    assert scaled.value_sq == pytest.approx(want, rel=max(1e-12, 4 * 5e-324 / want))
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 @given(
     coeffs=st.lists(

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import discop
 from discop.errors import ConvergenceError, ParamError
 from discop.norms import _value_fn, double_integral_functional, validate_params
 from discop.operators import (
@@ -220,15 +225,18 @@ def test_bound_check_rejects_constant_member_in_last_place():
 # --- batched composed pair engine ---------------------------------------------------
 
 
-def test_composed_pair_sums_match_full_matrix_reference():
+ENGINE_SYMBOL = FiniteBlaschke(zeros=(0.4 + 0.2j, -0.3j), post_rotation=0.7)
+ENGINE_FAMILY = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.5, -1.0j]),
+                 TruncatedPowerSeries([1.0, 0.0, 0.0, 0.3 + 0.4j])]
+# 10 x 64 = 640 nodes: two row blocks of the engine, the second one short
+TWO_BLOCK_RULE = (1.0, 5.0, 10, 64)
+
+
+def _assert_full_matrix_reference(sigma, q, n_rad, n_ang):
     """The block engine against the plain full-matrix sums, member by member."""
-    sigma, q, n_rad, n_ang = 1.0, 5.0, 6, 16
-    symbol = FiniteBlaschke(zeros=(0.4 + 0.2j, -0.3j), post_rotation=0.7)
-    family = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.5, -1.0j]),
-              TruncatedPowerSeries([1.0, 0.0, 0.0, 0.3 + 0.4j])]
     rule = build_disc_rule(sigma, n_rad, n_ang)
     z, w = rule.nodes, rule.weights
-    u = symbol.value(z)
+    u = ENGINE_SYMBOL.value(z)
     den_comp = np.abs(1.0 - u[:, None] * np.conj(u[None, :])) ** q
     den_plain = np.abs(1.0 - z[:, None] * np.conj(z[None, :])) ** q
     kernel_q = den_comp / den_plain
@@ -240,7 +248,7 @@ def test_composed_pair_sums_match_full_matrix_reference():
     pivot = np.sort(kernel_q[off_diagonal])[off_diagonal.sum() // 2]
     sup_q = pivot / ((1.0 + rel_tol) * (1.0 + 1e-13))
     want_values, want_violations = [], []
-    for f in family:
+    for f in ENGINE_FAMILY:
         fv = f(u)
         num = np.abs(fv[:, None] - fv[None, :]) ** 2
         want_values.append(float(np.sum(w[:, None] * w[None, :] * num / den_comp)))
@@ -248,7 +256,7 @@ def test_composed_pair_sums_match_full_matrix_reference():
         want_violations.append(int(np.count_nonzero(bad & off_diagonal)))
 
     values, violations, pairs, max_kernel = _composed_pair_sums(
-        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang,
+        [_value_fn(f) for f in ENGINE_FAMILY], ENGINE_SYMBOL, sigma, q, n_rad, n_ang,
         sup_q=sup_q, rel_tol=rel_tol,
     )
     assert pairs == len(z) ** 2
@@ -257,9 +265,15 @@ def test_composed_pair_sums_match_full_matrix_reference():
     assert violations == want_violations
     assert min(violations) > 0
     assert max_kernel == pytest.approx(float(np.max(kernel_q)) ** (1.0 / q), rel=1e-12)
+    return values
 
+
+def test_composed_pair_sums_match_full_matrix_reference():
+    sigma, q, n_rad, n_ang = 1.0, 5.0, 6, 16
+    values = _assert_full_matrix_reference(sigma, q, n_rad, n_ang)
+    value_fns = [_value_fn(f) for f in ENGINE_FAMILY]
     plain, none_violations, _, none_kernel = _composed_pair_sums(
-        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang
+        value_fns, ENGINE_SYMBOL, sigma, q, n_rad, n_ang
     )
     assert plain == values
     assert none_violations is None and none_kernel is None
@@ -268,4 +282,51 @@ def test_composed_pair_sums_match_full_matrix_reference():
         return np.where(np.abs(u) < 0.5, np.inf, u)
 
     with pytest.raises(ConvergenceError, match="non-finite"):
-        _composed_pair_sums([_value_fn(family[0]), blows_up], symbol, sigma, q, n_rad, n_ang)
+        _composed_pair_sums([value_fns[0], blows_up], ENGINE_SYMBOL, sigma, q, n_rad, n_ang)
+
+
+def test_composed_pair_sums_match_full_matrix_reference_across_blocks():
+    """The block seam, the second corner mask and the per-block products."""
+    assert 512 < TWO_BLOCK_RULE[2] * TWO_BLOCK_RULE[3] < 1024
+    _assert_full_matrix_reference(*TWO_BLOCK_RULE)
+
+
+def test_composed_pair_sums_blind_to_constants():
+    """f and f + 1000 give the same sums; a constant gives exactly 0."""
+    sigma, q, n_rad, n_ang = 1.0, 5.0, 8, 32
+    symbol = FiniteBlaschke(zeros=(0.5j, -0.2 + 0.1j), post_rotation=1.3)
+    family = [TruncatedPowerSeries([0.0, 1.0, 0.5]), TruncatedPowerSeries([0.0, 0.2j, 0.0, -0.7])]
+    shifted = [TruncatedPowerSeries([1000.0] + list(f.coeffs[1:])) for f in family]
+    base, _, _, _ = _composed_pair_sums(
+        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang
+    )
+    moved, _, _, _ = _composed_pair_sums(
+        [_value_fn(f) for f in shifted], symbol, sigma, q, n_rad, n_ang
+    )
+    assert min(base) > 0.0
+    for got, want in zip(moved, base):
+        assert got == pytest.approx(want, rel=1e-12)
+    flat, _, _, _ = _composed_pair_sums(
+        [_value_fn(TruncatedPowerSeries([1000.0]))], symbol, sigma, q, n_rad, n_ang
+    )
+    assert flat == [0.0]
+
+
+def _engine_bits():
+    values, _, _, max_kernel = _composed_pair_sums(
+        [_value_fn(TruncatedPowerSeries.monomial(n)) for n in (1, 2, 3)],
+        ENGINE_SYMBOL, *TWO_BLOCK_RULE, sup_q=1.0,
+    )
+    return " ".join(float(x).hex() for x in values + [max_kernel])
+
+
+def test_composed_pair_sums_independent_of_blas_threads():
+    """Single-threaded BLAS in a fresh process gives the same bits."""
+    paths = [os.path.dirname(os.path.dirname(discop.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", "import test_operators; print(test_operators._engine_bits())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == _engine_bits()
