@@ -38,7 +38,7 @@ from .quadrature import (
 )
 from .series import TruncatedPowerSeries, differentiate, eval_series
 
-_RADIAL_BLOCK = 16  # z-radial block size for the correlation path (memory bound)
+_RADIAL_BLOCK = 16  # z radii per block: half-angle kernel and real spectrum (memory bound)
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,11 @@ def dirichlet_norm_sq_coeff(s: TruncatedPowerSeries, p: float) -> NormResult:
     n = np.arange(1, len(s.coeffs))
     if len(n) == 0:
         return NormResult(value_sq=0.0, method="coefficient", rel_error_estimate=0.0)
+    # coefficients over a power of two near the largest modulus: exact, no subnormal squares
     a = np.asarray(s.coeffs[1:], dtype=complex)
-    value = float(np.sum(n**2 * np.abs(a) ** 2 * np.exp(betaln(n, p + 1.0))))
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    value = float(np.ldexp(np.sum(n**2 * np.abs(a) ** 2 * np.exp(betaln(n, p + 1.0))), 2 * e))
     return NormResult(value_sq=value, method="coefficient", rel_error_estimate=0.0)
 
 
@@ -179,7 +182,7 @@ def dirichlet_norm_sq_quad(
         e = int(np.frexp(np.max(np.abs(vals)))[1])
         re, im = np.ldexp(vals.real, -e), np.ldexp(vals.imag, -e)
         val = integrate_disc(rule, lambda z: re * re + im * im)
-        return float(np.ldexp(np.real(val), 2 * e)) / (p + 1.0)
+        return float(np.ldexp(np.real(val) / (p + 1.0), 2 * e))
 
     refined = refine_until(settings, functional)
     return NormResult(
@@ -195,9 +198,17 @@ def pairwise_difference_integral(
 ) -> float:
     """Single-rule evaluation of iint |f(z)-f(w)|^2 / |1-conj(w) z|^q dA_sigma dA_tau.
 
-    Exploits the tensor structure: for fixed radii the kernel depends on the
-    angle difference only, so the angular double sum collapses to a circular
-    cross-correlation of the nodal values, evaluated with FFTs.  This is the
+    Exploits the tensor structure: for fixed radii r_i, r_j the kernel depends
+    on the angle difference only, so by Parseval the mean over the m x m
+    angular node pairs is
+
+        (Khat_0 (|Z_i|^2 + |W_j|^2) - 2 sum_k Khat_k Re(Z_ik conj(W_jk))) / m^3
+
+    with Z, W the FFTs of the nodal values (|Z_i|^2 summed over k) and Khat that
+    of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real and even,
+    so it is built on the angles 0..m//2, mirrored, and one real FFT gives its
+    real spectrum.  Modes k and m-k share Khat_k and fold into four real
+    channels; each radial block is one batched matrix product.  This is the
     same nodal sum as a direct sum over all node pairs, reassociated.
 
     |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
@@ -212,28 +223,32 @@ def pairwise_difference_integral(
     if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(fw))):
         raise ConvergenceError("integrand is non-finite at a quadrature node")
     fz, fw = fz - fz[0, 0], fw - fz[0, 0]
-    mean_sq_z = np.mean(np.abs(fz) ** 2, axis=1)
-    mean_sq_w = np.mean(np.abs(fw) ** 2, axis=1)
-    spec_z = np.fft.fft(fz, axis=1)
-    spec_w = np.fft.fft(fw, axis=1)
-    r_z = np.sqrt(rule_z.radial_t)
-    r_w = np.sqrt(rule_w.radial_t)
-    cos_d = np.cos(2.0 * np.pi * np.arange(m) / m)
+    k = np.arange(m // 2 + 1)
+    h = k.size
+
+    def channels(f, radial_w):
+        # (h, n_rad, 4): weighted Re, Im of mode k and of mode m-k (0 where m-k is k)
+        spec = np.fft.fft(f, axis=1) * radial_w[:, None]
+        back = spec[:, -k % m] * ((2 * k) % m != 0)
+        chans = [spec[:, :h].real, spec[:, :h].imag, back.real, back.imag]
+        return np.ascontiguousarray(np.stack(chans).T)
+
+    chan_z, chan_w = channels(fz, rule_z.radial_w), channels(fw, rule_w.radial_w)
+    sq_z = np.stack([rule_z.radial_w * np.mean(np.abs(fz) ** 2, axis=1), rule_z.radial_w], 1)
+    sq_w = np.stack([rule_w.radial_w, rule_w.radial_w * np.mean(np.abs(fw) ** 2, axis=1)], 1)
+    r_z, r_w = np.sqrt(rule_z.radial_t), np.sqrt(rule_w.radial_t)
+    cos_h = np.cos(2.0 * np.pi * k / m)
 
     parts = []
     for lo in range(0, n_rad, _RADIAL_BLOCK):
         hi = min(lo + _RADIAL_BLOCK, n_rad)
         x = r_z[lo:hi, None] * r_w[None, :]  # (b, n_rad)
-        kern = 1.0 / powq(
-            1.0 - 2.0 * x[:, :, None] * cos_d[None, None, :] + (x**2)[:, :, None], q
-        )
-        kern_mean = np.mean(kern, axis=2)  # (b, n_rad)
-        corr = np.fft.ifft(spec_z[lo:hi, None, :] * np.conj(spec_w)[None, :, :], axis=2)
-        cross = np.mean(kern * np.real(corr), axis=2) / m  # (b, n_rad)
-        block = kern_mean * (mean_sq_z[lo:hi, None] + mean_sq_w[None, :]) - 2.0 * cross
-        parts.append(
-            np.sum((rule_z.radial_w[lo:hi, None] * block) * rule_w.radial_w[None, :])
-        )
+        half = 1.0 / powq(1.0 - 2.0 * x[:, :, None] * cos_h + (x**2)[:, :, None], q)
+        kern = np.fft.rfft(np.concatenate([half, half[:, :, m - h:0:-1]], axis=2), axis=2)
+        kern = kern.real.transpose(2, 0, 1)  # (h, b, n_rad)
+        cross = np.sum(chan_z[:, lo:hi] * np.matmul(kern, chan_w))
+        square = np.sum(sq_z[lo:hi] * (kern[0] @ sq_w))  # Khat_0 w_i w_j (|f_i|^2 + |f_j|^2)
+        parts.append(square / m - 2.0 * cross / m**3)
     total = float(np.sum(np.asarray(parts)))
     return rule_z.normalization * rule_w.normalization * total
 

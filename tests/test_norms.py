@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import discop
 from discop.errors import ConvergenceError, ParamError
 from discop.norms import (
     dirichlet_norm_sq_coeff,
@@ -14,8 +19,8 @@ from discop.norms import (
     validate_params,
 )
 from discop.operators import _composed_pair_sums
-from discop.quadrature import QuadratureSettings
-from discop.series import TruncatedPowerSeries
+from discop.quadrature import QuadratureSettings, build_disc_rule
+from discop.series import TruncatedPowerSeries, eval_series
 from discop.symbols import Identity
 from oracles import (
     PAIRWISE_MONOMIAL_SIGMA1_BETA05,
@@ -139,6 +144,18 @@ def test_quad_norm_refines_like_unit_multiple(scale):
     assert scaled.value_sq == pytest.approx(want, rel=max(1e-12, 4 * 5e-324 / want))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 2.4156809098717717e-159, 1.0])
+def test_norm_routes_agree_for_tiny_coefficients(scale):
+    # the tiny values are subnormal; both routes square scaled values and
+    # round once, and the unit multiple keeps its bits
+    s = TruncatedPowerSeries([0.0, scale, 0.3j * scale])
+    coeff = dirichlet_norm_sq_coeff(s, 1.0).value_sq
+    quad = dirichlet_norm_sq_quad(s, 1.0).value_sq
+    assert coeff == pytest.approx(quad, rel=1e-12)
+    if scale == 1.0:
+        assert coeff.hex() == quad.hex() == "0x1.1eb851eb851ecp-1"
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
 @given(
     coeffs=st.lists(
@@ -199,6 +216,54 @@ def test_bergman_difference():
 
 
 # --- pairwise double integral ------------------------------------------------
+
+_QUINTIC = TruncatedPowerSeries([0.7 - 0.2j, 1.0, -0.5j, 0.0, 0.25, 0.3])
+
+
+def _direct_pair_sum(f, sigma, tau, q, n_rad, n_ang):
+    """Every node pair of both rules, with the complex kernel |1 - conj(w) z|^-q."""
+    rule_z = build_disc_rule(sigma, n_rad, n_ang)
+    rule_w = build_disc_rule(tau, n_rad, n_ang)
+    z, w = rule_z.nodes[:, None], rule_w.nodes[None, :]
+    diff_sq = np.abs(eval_series(f, z) - eval_series(f, w)) ** 2
+    kern = np.abs(1.0 - np.conj(w) * z) ** -q
+    return float(np.sum(rule_z.weights[:, None] * rule_w.weights[None, :] * diff_sq * kern))
+
+
+@pytest.mark.parametrize("n_rad, n_ang", [(6, 16), (5, 7)])
+@pytest.mark.parametrize("q", [0.0, 5.0, 5.8])
+@pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
+def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
+    def value_fn(z):
+        return eval_series(_QUINTIC, z)
+
+    got = pairwise_difference_integral(value_fn, sigma, tau, q, n_rad, n_ang)
+    want = _direct_pair_sum(_QUINTIC, sigma, tau, q, n_rad, n_ang)
+    assert got == pytest.approx(want, rel=1e-12)
+    flat = pairwise_difference_integral(
+        lambda z: np.full_like(z, 2.5 - 1j), sigma, tau, q, n_rad, n_ang
+    )
+    assert flat == 0.0
+
+
+def _pairwise_bits():
+    # 32 radii: two radial blocks
+    value = pairwise_difference_integral(
+        lambda z: eval_series(_QUINTIC, z), 1.5, 0.6, 5.8, 32, 64
+    )
+    return value.hex()
+
+
+def test_pairwise_independent_of_blas_threads():
+    """Single-threaded BLAS in a fresh process gives the same bits."""
+    paths = [os.path.dirname(os.path.dirname(discop.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", "import test_norms; print(test_norms._pairwise_bits())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == _pairwise_bits()
 
 
 def test_double_integral_constant_is_zero():
@@ -264,8 +329,6 @@ def test_double_integral_linear_matches_pinned_oracle():
 
 
 def test_brute_force_4x_matches_series_oracle():
-    from discop.series import eval_series
-
     s = TruncatedPowerSeries.monomial(1)
     val = pairwise_difference_integral(lambda z: eval_series(s, z), 1.0, 1.0, 5.0, 128, 512)
     assert val == pytest.approx(V1_QUAD_4X, rel=1e-12)
