@@ -9,19 +9,28 @@ Runs ``perfbench/run.py`` on every workload: once per seed with
 ``--trace 0`` (end-to-end metrics) and once, on the first seed, with
 ``--trace 1`` (per-layer metrics).  The snapshot holds the median of each
 end-to-end metric over the seeds with the per-seed values, the per-layer
-metrics, the pass/fail counts, the machine and library stamp from
-perfbench's ``env`` line, and the relative change of every median against
-the newest earlier ``BENCH_<m>.json`` (m < n), or null when there is none.
+metrics, the pass/fail counts and the machine and library stamp from
+perfbench's ``env`` line.
+
+The comparison is measured, not looked up: ``HEAD`` is extracted with
+``git archive`` into a temporary directory, and for every seed the parent
+and the working tree run back to back on this host, alternating which goes
+first.  Each end-to-end metric gets its per-pair relative change
+(working tree against parent) and the median of those changes, so a drift of
+the host's speed between snapshots does not read as a code change.  Run it
+before committing, so that ``HEAD`` is the parent of the change.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,48 +41,39 @@ from workloads import WORKLOADS  # noqa: E402
 ENV_KEYS = ("nproc", "affinity_cpus", "cpu_model", "python", "numpy", "scipy", "blas")
 
 
-def _run(workload: str, seed: int, seconds: int, trace: int):
-    """One perfbench run: its env stamp and its result line."""
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int):
+    """One perfbench run of the checkout at ``tree``: its env stamp and its result line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True, check=True,
     )
     lines = done.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return env, json.loads(lines[-1])
 
 
-def _previous(number: int):
-    """The newest earlier snapshot as (path, data), or None."""
-    found = []
-    for path in ROOT.glob("BENCH_*.json"):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
-        if match and int(match.group(1)) < number:
-            found.append((int(match.group(1)), path))
-    if not found:
-        return None
-    path = max(found)[1]
-    return path, json.loads(path.read_text())
+def _extract_head(into: Path) -> str:
+    """Unpack the committed tree of HEAD into ``into``; returns its commit hash."""
+    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
 
 
-def _compare(workloads: dict, previous):
-    if previous is None:
-        return None
-    path, old = previous
-    changes = {}
-    for name, now in workloads.items():
-        before = old["workloads"].get(name, {})
-        for section in ("end_to_end", "per_layer"):
-            for metric, entry in now[section].items():
-                was = before.get(section, {}).get(metric)
-                if was is None:
-                    continue
-                value, old_value = entry["value"], was["value"]
-                change = (value - old_value) / abs(old_value) if old_value else None
-                changes.setdefault(name, {})[metric] = {
-                    "previous": old_value, "current": value, "rel_change": change}
-    return {"against": path.name, "metrics": changes}
+def _pair_changes(parent_runs: list, runs: list) -> dict:
+    """Per end-to-end metric: parent and working-tree values per seed, their changes."""
+    out = {}
+    for metric in runs[0]["metrics"]:
+        before = [r["metrics"][metric]["value"] for r in parent_runs]
+        after = [r["metrics"][metric]["value"] for r in runs]
+        changes = [(a - b) / abs(b) if b else None for a, b in zip(after, before)]
+        known = [c for c in changes if c is not None]
+        out[metric] = {"parent": before, "current": after, "rel_change": changes,
+                       "median_rel_change": statistics.median(known) if known else None}
+    return out
 
 
 def main(argv=None) -> int:
@@ -86,34 +86,46 @@ def main(argv=None) -> int:
     if len(seeds) < 3:
         parser.error("--seeds needs at least three seeds for a median")
 
-    env, workloads = None, {}
-    for name in WORKLOADS:
-        runs = []
-        for seed in seeds:
-            env, result = _run(name, seed, args.seconds, 0)
-            runs.append(result)
-            print(f"{name} seed {seed}: wall_s {result['metrics']['wall_s']['value']:.3f}",
-                  file=sys.stderr)
-        _, traced = _run(name, seeds[0], args.seconds, 1)
-        end_to_end = {}
-        for metric, entry in runs[0]["metrics"].items():
-            values = [r["metrics"][metric]["value"] for r in runs]
-            end_to_end[metric] = {"value": statistics.median(values), "unit": entry["unit"],
-                                  "per_seed": values}
-        workloads[name] = {
-            "correct": all(r["correct"] for r in runs) and traced["correct"],
-            "attempted": [r["attempted"] for r in runs],
-            "failed": [r["failed"] for r in runs],
-            "end_to_end": end_to_end,
-            "per_layer": traced["metrics"],
-        }
+    env, workloads, comparison = None, {}, {}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        parent_commit = _extract_head(parent_tree)
+        for name in WORKLOADS:
+            runs, parent_runs = [], []
+            for i, seed in enumerate(seeds):
+                order = [(ROOT, runs), (parent_tree, parent_runs)]
+                for tree, into in order[::-1] if i % 2 else order:
+                    env, result = _run(tree, name, seed, args.seconds, 0)
+                    into.append(result)
+                print(f"{name} seed {seed}: wall_s parent "
+                      f"{parent_runs[-1]['metrics']['wall_s']['value']:.3f}, working tree "
+                      f"{runs[-1]['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
+            _, traced = _run(ROOT, name, seeds[0], args.seconds, 1)
+            end_to_end = {}
+            for metric, entry in runs[0]["metrics"].items():
+                values = [r["metrics"][metric]["value"] for r in runs]
+                end_to_end[metric] = {"value": statistics.median(values), "unit": entry["unit"],
+                                      "per_seed": values}
+            workloads[name] = {
+                "correct": all(r["correct"] for r in runs) and traced["correct"],
+                "attempted": [r["attempted"] for r in runs],
+                "failed": [r["failed"] for r in runs],
+                "end_to_end": end_to_end,
+                "per_layer": traced["metrics"],
+            }
+            comparison[name] = {
+                "parent_correct": all(r["correct"] for r in parent_runs),
+                "parent_failed": [r["failed"] for r in parent_runs],
+                "metrics": _pair_changes(parent_runs, runs),
+            }
 
     snapshot = {
         "seeds": seeds,
         "seconds": args.seconds,
         "env": {key: env.get(key) for key in ENV_KEYS},
         "workloads": workloads,
-        "comparison": _compare(workloads, _previous(args.number)),
+        "comparison": {"against": parent_commit, "order": "alternating per seed",
+                       "workloads": comparison},
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")

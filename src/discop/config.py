@@ -20,6 +20,7 @@ when ``tau`` is given, the strict equal-weight window otherwise.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field, replace
 
@@ -264,7 +265,8 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
     """CLI-level overrides: output directory, pre-refinement steps, RNG seed.
 
     ``refine`` multiplies the base quadrature counts by refinement_factor^k
-    (the sup-search grid is left alone; it refines itself).
+    (the sup-search grid is left alone; it refines itself), unless the last
+    level's kernel spectrum, 8 (m//2 + 1) n_rad^2 bytes, exceeds physical memory.
     """
     for flag, value in (("--refine", refine), ("--seed", seed)):
         if value is not None and value < 0:
@@ -274,6 +276,12 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
     if refine:
         q = config.quadrature
         scale = q.refinement_factor**int(refine)
+        top = scale * q.refinement_factor**q.max_refinements
+        need = 8 * (q.angular_count * top // 2 + 1) * (q.radial_count * top) ** 2
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ConfigError(f"--refine {refine} needs a kernel spectrum of at least "
+                              f"2^{need.bit_length() - 1} bytes, above physical memory",
+                              field="--refine")
         config = replace(
             config,
             quadrature=replace(

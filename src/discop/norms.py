@@ -22,6 +22,7 @@ layer checks that equivalence as a ratio-band property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaln
@@ -32,13 +33,14 @@ from .quadrature import (
     DEFAULT_BIDISC_SETTINGS,
     DEFAULT_DISC_SETTINGS,
     QuadratureSettings,
+    _jacobi_01,
     build_disc_rule,
     integrate_disc,
     refine_until,
 )
 from .series import TruncatedPowerSeries, differentiate, eval_series
 
-_RADIAL_BLOCK = 16  # z radii per block: half-angle kernel and real spectrum (memory bound)
+_RADIAL_BLOCK = 16  # z radii per slice of the shared kernel spectrum (bounds the products)
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,23 @@ def dirichlet_norm_sq_quad(
     )
 
 
+@lru_cache(maxsize=3)  # one default ladder: max_refinements + 1 rules
+def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int):
+    """Read-only real spectrum of the pairwise kernel, (m//2 + 1, n_rad, n_rad) floats.
+
+    Built one z radius at a time: half-angle kernel, mirrored, one real FFT per radius pair.
+    """
+    m, h = n_ang, n_ang // 2 + 1
+    r_z, r_w = (np.sqrt(_jacobi_01(float(s), int(n_rad))[0]) for s in (sigma, tau))
+    cos_h = np.cos(2.0 * np.pi * np.arange(h) / m)
+    spectrum = np.empty((n_rad, n_rad, h))
+    for i, x in enumerate(r_z[:, None] * r_w):
+        half = 1.0 / powq(1.0 - 2.0 * x[:, None] * cos_h + (x**2)[:, None], q)
+        spectrum[i] = np.fft.rfft(np.concatenate([half, half[:, m - h:0:-1]], axis=1)).real
+    spectrum.setflags(write=False)
+    return spectrum.transpose(2, 0, 1)
+
+
 def pairwise_difference_integral(
     value_fn, sigma: float, tau: float, q: float, n_rad: int, n_ang: int
 ) -> float:
@@ -205,11 +224,11 @@ def pairwise_difference_integral(
         (Khat_0 (|Z_i|^2 + |W_j|^2) - 2 sum_k Khat_k Re(Z_ik conj(W_jk))) / m^3
 
     with Z, W the FFTs of the nodal values (|Z_i|^2 summed over k) and Khat that
-    of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real and even,
-    so it is built on the angles 0..m//2, mirrored, and one real FFT gives its
-    real spectrum.  Modes k and m-k share Khat_k and fold into four real
-    channels; each radial block is one batched matrix product.  This is the
-    same nodal sum as a direct sum over all node pairs, reassociated.
+    of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real, even and
+    blind to f, so :func:`_kernel_spectrum` builds it once per (sigma, tau, q,
+    rule) and a family shares it.  Modes k and m-k share Khat_k and fold into
+    four real channels; each radial block is one batched matrix product.  This
+    is the same nodal sum as a direct sum over all node pairs, reassociated.
 
     |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
     the value at the first z node: a constant then gives exactly 0, and an f
@@ -236,16 +255,12 @@ def pairwise_difference_integral(
     chan_z, chan_w = channels(fz, rule_z.radial_w), channels(fw, rule_w.radial_w)
     sq_z = np.stack([rule_z.radial_w * np.mean(np.abs(fz) ** 2, axis=1), rule_z.radial_w], 1)
     sq_w = np.stack([rule_w.radial_w, rule_w.radial_w * np.mean(np.abs(fw) ** 2, axis=1)], 1)
-    r_z, r_w = np.sqrt(rule_z.radial_t), np.sqrt(rule_w.radial_t)
-    cos_h = np.cos(2.0 * np.pi * k / m)
+    spectrum = _kernel_spectrum(sigma, tau, q, n_rad, m)
 
     parts = []
     for lo in range(0, n_rad, _RADIAL_BLOCK):
         hi = min(lo + _RADIAL_BLOCK, n_rad)
-        x = r_z[lo:hi, None] * r_w[None, :]  # (b, n_rad)
-        half = 1.0 / powq(1.0 - 2.0 * x[:, :, None] * cos_h + (x**2)[:, :, None], q)
-        kern = np.fft.rfft(np.concatenate([half, half[:, :, m - h:0:-1]], axis=2), axis=2)
-        kern = kern.real.transpose(2, 0, 1)  # (h, b, n_rad)
+        kern = spectrum[:, lo:hi]  # (h, b, n_rad)
         cross = np.sum(chan_z[:, lo:hi] * np.matmul(kern, chan_w))
         square = np.sum(sq_z[lo:hi] * (kern[0] @ sq_w))  # Khat_0 w_i w_j (|f_i|^2 + |f_j|^2)
         parts.append(square / m - 2.0 * cross / m**3)

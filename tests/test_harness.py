@@ -552,6 +552,36 @@ def test_cli_refuses_negative_seed_and_refine(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_cli_refuses_refine_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # the refusal comes before any rule is built
+    monkeypatch.setattr("discop.cli.run", lambda config: pytest.fail("run() was reached"))
+    path = Path(__file__).resolve().parents[1] / "configs" / "equivalence_monomials.json"
+    argv = ["equivalence", "--config", str(path), "--out", str(tmp_path), "--refine", "12"]
+    assert cli_main(argv) == 4
+    assert "--refine" in capsys.readouterr().err
+
+
+def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
+    cfg = parse_config(
+        {
+            "command": "norm",
+            "family": "monomials:1..2",
+            "params": {"sigma": 1.0, "beta": 0.5},
+            "quadrature": {"radial_count": 8, "angular_count": 16, "max_refinements": 1},
+        }
+    )
+    # refine 1 and one ladder step: the last level is 32 x 64
+    need = 8 * (64 // 2 + 1) * 32**2
+    for memory, refused in ((need, False), (need - 1, True)):
+        monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
+        if refused:
+            with pytest.raises(ConfigError) as info:
+                apply_overrides(cfg, refine=1)
+            assert info.value.field == "--refine"
+        else:
+            assert apply_overrides(cfg, refine=1).quadrature.radial_count == 16
+
+
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
 def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
     command = json.loads(path.read_text())["command"]

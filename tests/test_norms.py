@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import discop
 from discop.errors import ConvergenceError, ParamError
 from discop.norms import (
+    _kernel_spectrum,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
@@ -264,6 +265,38 @@ def test_pairwise_independent_of_blas_threads():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.strip() == _pairwise_bits()
+
+
+@pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.5, 0.6, 32, 64), (1.0, 0.3, 5, 7)])
+def test_pairwise_same_bits_cold_cached_and_cleared(sigma, tau, n_rad, n_ang):
+    def value():
+        return pairwise_difference_integral(
+            lambda z: eval_series(_QUINTIC, z), sigma, tau, 5.8, n_rad, n_ang
+        ).hex()
+
+    _kernel_spectrum.cache_clear()
+    cold = value()
+    hits = _kernel_spectrum.cache_info().hits
+    cached = value()
+    assert _kernel_spectrum.cache_info().hits == hits + 1
+    _kernel_spectrum.cache_clear()
+    assert cold == cached == value()
+
+
+def test_family_ladder_builds_each_level_once():
+    # three members, each running all three levels: one build per level, and
+    # the cache must not evict a level just before the next member needs it
+    params = validate_params(1.0, 1.0, 0.5)
+    ladder = QuadratureSettings(
+        radial_count=8, angular_count=32, target_rel_tol=1e-15, max_refinements=2
+    )
+    _kernel_spectrum.cache_clear()
+    for n in (1, 2, 3):
+        with pytest.raises(ConvergenceError) as info:
+            double_integral_functional(TruncatedPowerSeries.monomial(n), params, ladder)
+        assert len(info.value.partial.trace) == 3
+    stats = _kernel_spectrum.cache_info()
+    assert (stats.misses, stats.hits) == (3, 6)
 
 
 def test_double_integral_constant_is_zero():
