@@ -18,7 +18,9 @@ and the working tree run back to back on this host, alternating which goes
 first.  Each end-to-end metric gets its per-pair relative change
 (working tree against parent) and the median of those changes, so a drift of
 the host's speed between snapshots does not read as a code change.  Run it
-before committing, so that ``HEAD`` is the parent of the change.
+before committing, so that ``HEAD`` is the parent of the change.  The
+snapshot also records the line total of ``src/discop/*.py`` (as
+``wc -l`` counts it) for ``HEAD`` and for the working tree.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ def _extract_head(into: Path) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def _src_lines(tree: Path) -> int:
+    """Newline count of the library modules under ``tree``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "discop").glob("*.py"))
+
+
 def _pair_changes(parent_runs: list, runs: list) -> dict:
     """Per end-to-end metric: parent and working-tree values per seed, their changes."""
     out = {}
@@ -90,6 +97,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         parent_commit = _extract_head(parent_tree)
+        src_lines = {"head": _src_lines(parent_tree), "working_tree": _src_lines(ROOT)}
         for name in WORKLOADS:
             runs, parent_runs = [], []
             for i, seed in enumerate(seeds):
@@ -123,6 +131,7 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "seconds": args.seconds,
         "env": {key: env.get(key) for key in ENV_KEYS},
+        "src_lines": src_lines,
         "workloads": workloads,
         "comparison": {"against": parent_commit, "order": "alternating per seed",
                        "workloads": comparison},

@@ -18,25 +18,31 @@ def abs_sq(x):
     return x * x
 
 
-def powq(base_sq, q):
-    """base_sq ** (q/2), i.e. |x|^q given |x|^2.
+def powq(base_sq, q, work=None):
+    """base_sq ** (q/2), i.e. |x|^q given |x|^2; base_sq is overwritten.
 
     Fast path for integer q up to 64 (multiplications and at most one sqrt);
-    generic powers fall back to np.power.
+    generic powers fall back to np.power.  ``work`` is a (2, *shape) float
+    array, allocated when not given; the result is base_sq or a row of work.
     """
     n = int(round(q))
-    if abs(q - n) < 1e-12 and 0 < n <= 64:
-        result = None
-        square = base_sq
-        m = n // 2
-        while m:
-            if m & 1:
-                result = square if result is None else result * square
-            m >>= 1
-            if m:
-                square = square * square
-        if n % 2:
-            root = np.sqrt(base_sq)
-            result = root if result is None else result * root
-        return result if result is not None else np.ones_like(base_sq)
-    return np.power(base_sq, 0.5 * q)
+    if not (abs(q - n) < 1e-12 and 0 < n <= 64):
+        return np.power(base_sq, 0.5 * q, out=base_sq)
+    if work is None:
+        work = np.empty((2,) + base_sq.shape)
+    # the root first, since the squares overwrite base_sq
+    root = np.sqrt(base_sq, out=work[1]) if n % 2 else None
+    result, square, m = None, base_sq, n // 2
+    while m:
+        if m & 1:
+            if result is None:
+                # a square that later squarings overwrite is copied out
+                result = square if m == 1 else np.positive(square, out=work[0])
+            else:
+                result = np.multiply(result, square, out=result)
+        m >>= 1
+        if m:
+            square = np.multiply(square, square, out=square)
+    if root is None:
+        return result
+    return root if result is None else np.multiply(result, root, out=result)

@@ -58,6 +58,10 @@ from .series import TruncatedPowerSeries
 from .symbols import BoundaryPoint, Identity, Symbol
 
 TWO_PI = 2.0 * np.pi
+#: rows per block of the composed pair engine, rows per tile of its elementwise
+#: chain, and the block corner's zeroed part (the lower triangle and diagonal)
+_BLOCK, _TILE = 512, 16
+_LOWER = np.tri(_BLOCK, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -296,15 +300,11 @@ def rank_sufficiency_check(
     zr = np.exp(1j * theta)
     slope = 2.0 * np.real(np.conj(symbol.value(zr)) * 1j * zr * symbol.deriv(zr))
     points = []
-    for i in range(scan_resolution):
-        j = (i + 1) % scan_resolution
-        if slope[i] > 0 >= slope[j]:
-            lo = theta[i]
-            hi = theta[i] + TWO_PI / scan_resolution
-            peak = _bisect_modulus_extremum(symbol, lo, hi)
-            gap = 1.0 - float(np.abs(symbol.value(np.exp(1j * peak))))
-            if gap <= contact_tol:
-                points.append(BoundaryPoint(peak))
+    for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
+        peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / scan_resolution)
+        gap = 1.0 - float(np.abs(symbol.value(np.exp(1j * peak))))
+        if gap <= contact_tol:
+            points.append(BoundaryPoint(peak))
     if not points:
         # grid touched the contact band but no slope bracket resolved it
         return RankReport(
@@ -383,8 +383,14 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
 
         sum_j D_ij w_j |V_i - V_j|^2 = |V_i|^2 P_i0 + P_i,|V|^2 - 2 Re(conj(V_i) P_i,V).
 
-    Every entry of a product is summed by one thread, so the values do not
-    depend on the BLAS thread count.
+    The products write into workspaces allocated once per call: the kernel
+    block, a second block for the plain kernel when sup_q is given, and a tile
+    for powq's work.  The elementwise chain (screen, in-place powq, reciprocal,
+    zeroed corner) runs over row tiles that stay in cache.  The products and
+    the elementwise results are those of fresh arrays, so the bits are too.
+    At some node counts (648, 679 and 720 among them) the BLAS library rounds
+    a product differently at 1 and 2 threads, so the last bits follow the
+    thread count there, with or without the workspaces.
 
     With ``sup_q`` given, the same pass counts for every member the node pairs
     violating the majorization  plain-kernel integrand <= sup_q * composed
@@ -414,32 +420,40 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
         # the exact predicate runs on the pairs above this threshold only; its
         # slack covers the round-off of the powers and the predicate's divisions
         threshold = (sup_q * (1.0 + rel_tol)) ** (2.0 / q) * (1.0 - 1e-12)
+    block = np.empty(min(_BLOCK, total) * total)
+    plain_block = np.empty(block.size if sup_q is not None else 0)
+    tile = np.empty(2 * _TILE * total)
     parts, violations, max_ratio_sq = [], np.zeros(count, dtype=int), 0.0
-    for lo in range(0, total, 512):
-        hi = min(lo + 512, total)
-        # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
-        # part below it are zeroed
-        lower = np.tril_indices(hi - lo)
-        comp_sq = comp_left[lo:hi] @ comp_right[:, lo:]
+    for lo in range(0, total, _BLOCK):
+        hi, cols = min(lo + _BLOCK, total), total - lo
+        rows = hi - lo
+        kernel = np.matmul(comp_left[lo:hi], comp_right[:, lo:],
+                           out=block[: rows * cols].reshape(rows, cols))
         if sup_q is not None:
-            plain_sq = plain_left[lo:hi] @ plain_right[:, lo:]
-            ratio_sq = comp_sq / plain_sq
-            max_ratio_sq = max(max_ratio_sq, float(np.max(ratio_sq)))
-            candidates = ratio_sq > threshold
-            candidates[lower] = False
-            i, j = np.nonzero(candidates)
-            if len(i):
-                cand_comp = powq(comp_sq[i, j], q)[:, None]
-                cand_plain = powq(plain_sq[i, j], q)[:, None]
-                num = abs_sq(f_vals[lo + i] - f_vals[lo + j])
-                bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + rel_tol)
-                violations += 2 * np.count_nonzero(bad, axis=0)
-            del plain_sq, ratio_sq
-        kernel = powq(comp_sq, q)
-        np.divide(1.0, kernel, out=kernel)
-        kernel[lower] = 0.0
+            plain = np.matmul(plain_left[lo:hi], plain_right[:, lo:],
+                              out=plain_block[: rows * cols].reshape(rows, cols))
+        for t in range(0, rows, _TILE):
+            s = min(t + _TILE, rows)
+            comp_sq, work = kernel[t:s], tile[: 2 * (s - t) * cols].reshape(2, s - t, cols)
+            # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
+            # part below it (within these rows, columns :s) are zeroed
+            lower = _LOWER[t:s, :s]
+            if sup_q is not None:
+                ratio_sq = np.divide(comp_sq, plain[t:s], out=work[0])
+                max_ratio_sq = max(max_ratio_sq, float(np.max(ratio_sq)))
+                candidates = ratio_sq > threshold
+                candidates[:, :s][lower] = False
+                if candidates.any():
+                    i, j = np.nonzero(candidates)
+                    i += t
+                    cand_comp = powq(kernel[i, j], q)[:, None]
+                    cand_plain = powq(plain[i, j], q)[:, None]
+                    num = abs_sq(f_vals[lo + i] - f_vals[lo + j])
+                    bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + rel_tol)
+                    violations += 2 * np.count_nonzero(bad, axis=0)
+            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
+            comp_sq[:, :s][lower] = 0.0
         p = kernel @ rhs[lo:]
-        del comp_sq, kernel
         vb = v[lo:hi]
         cross = vb.real * p[:, 1 + count : 1 + 2 * count] + vb.imag * p[:, 1 + 2 * count :]
         term = v_sq[lo:hi] * p[:, :1] + p[:, 1 : 1 + count] - 2.0 * cross
