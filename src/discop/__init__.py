@@ -7,17 +7,13 @@ from .errors import (
     ConvergenceError,
     DiscopError,
     ParamError,
-    SingularKernelError,
     SymbolError,
 )
 from .kernels import (
     SupEstimate,
     SupSearchSettings,
     Verdict,
-    closed_form_sup,
     estimate_sup,
-    eval_kernel,
-    pointwise_kernel_identity_check,
 )
 from .norms import (
     NormResult,
@@ -25,7 +21,6 @@ from .norms import (
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
-    equivalence_ratio,
     validate_main_theorem_params,
     validate_params,
 )
@@ -59,7 +54,6 @@ from .symbols import (
     SelfMapCheck,
     Symbol,
     symbol_from_spec,
-    symbol_to_spec,
     verify_self_map,
 )
 

@@ -30,12 +30,6 @@ class SymbolError(DiscopError):
         self.angle = angle
 
 
-class SingularKernelError(DiscopError):
-    """Kernel or lift evaluation requested too close to the boundary diagonal."""
-
-    code = "E_SINGULAR"
-
-
 class ConvergenceError(DiscopError):
     """A refinement or extrapolation loop failed to stabilize.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +183,7 @@ def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     _min_deriv_row(row, report)
     angles = 2.0 * np.pi * np.arange(256) / 256
     dmod = np.abs(symbol.deriv(np.exp(1j * angles)))
-    outcome.plots["deriv_modulus"] = [(float(a), float(d)) for a, d in zip(angles, dmod)]
+    outcome.plots["deriv_modulus"] = list(zip(angles.tolist(), dmod.tolist()))
     if report.verdict is RankVerdict.FAIL:
         outcome.exit_code = _worst(outcome.exit_code, 2)
     elif report.verdict is RankVerdict.INCONCLUSIVE:
@@ -289,9 +289,7 @@ def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
     row("boundary_contact", int(check.boundary_contact), "scan", config.selfmap_tol, "Pass")
     angles = 2.0 * np.pi * np.arange(256) / 256
     mods = np.abs(check.symbol.value(np.exp(1j * angles)))
-    outcome.plots["boundary_modulus"] = [
-        (float(a), float(m)) for a, m in zip(angles, mods)
-    ]
+    outcome.plots["boundary_modulus"] = list(zip(angles.tolist(), mods.tolist()))
 
 
 # --- emission ----------------------------------------------------------------
@@ -330,19 +328,17 @@ def emit_reports(outcome: RunOutcome, out_dir) -> dict:
 
     json_path = out / "report.json"
     payload = {
-        "rows": [asdict(r) for r in outcome.rows],
+        "rows": [vars(r) for r in outcome.rows],
         "traces": outcome.traces,
         "exit_code": outcome.exit_code,
     }
     with json_path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     paths["json"] = json_path
 
     for name, points in outcome.plots.items():
         plot_path = out / f"plot_{name}.dat"
         with plot_path.open("w", encoding="utf-8") as fh:
-            for x, y in points:
-                fh.write(f"{x!r} {y!r}\n")
+            fh.write("".join([f"{x!r} {y!r}\n" for x, y in points]))
         paths[f"plot_{name}"] = plot_path
     return paths

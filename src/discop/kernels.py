@@ -26,11 +26,12 @@ blows past the threshold with sustained growth.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, SingularKernelError
+from .errors import ParamError
 from .symbols import BoundaryPoint, Symbol, contact_indicator
 
 TWO_PI = 2.0 * np.pi
@@ -39,31 +40,15 @@ TWO_PI = 2.0 * np.pi
 MIN_DENOMINATOR = 1e-13
 
 
-def eval_kernel(symbol: Symbol, z, w, min_denominator: float = MIN_DENOMINATOR):
-    """k(z, w) for points of the closed bidisc off the boundary diagonal.
-
-    An unverified polynomial symbol raises SymbolError.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    den = 1.0 - z * np.conj(w)
-    if np.any(np.abs(den) <= min_denominator):
-        raise SingularKernelError(
-            "kernel evaluation too close to the boundary diagonal (|1 - z conj(w)| underflow)"
-        )
-    out = (1.0 - symbol.value(z) * np.conj(symbol.value(w))) / den
-    return out if out.shape else complex(out)
-
-
 def _neville_to_zero(hs, table):
-    """Polynomial extrapolation of table(h) to h = 0 along axis 0.
+    """Polynomial extrapolation of the rows of a 2-D table(h) to h = 0.
 
-    Returns (limit, last_correction) per trailing index.
+    Order m updates rows m.. at once from the order m-1 rows.  Returns
+    (limit, last_correction) per column.
     """
-    tab = [np.asarray(row, dtype=float) for row in table]
+    tab = np.array(table, dtype=float)
     for m in range(1, len(tab)):
-        for i in range(len(tab) - 1, m - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * hs[i] / (hs[i - m] - hs[i])
+        tab[m:] += (tab[m:] - tab[m - 1:-1]) * hs[m:, None] / (hs[:-m] - hs[m:])[:, None]
     return tab[-1], np.abs(tab[-1] - tab[-2])
 
 
@@ -82,9 +67,7 @@ def _diag_values_batch(symbol: Symbol, angles, stab_tol=1e-8):
     zeta = np.exp(1j * angles)
     hs = _DEFAULT_EXTRAP_H
     rs = 1.0 - hs
-    rows = [
-        (1.0 - np.abs(symbol.value(r * zeta)) ** 2) / (1.0 - r * r) for r in rs
-    ]
+    rows = (1.0 - np.abs(symbol.value(rs[:, None] * zeta)) ** 2) / (1.0 - rs * rs)[:, None]
     limit, corr = _neville_to_zero(hs, rows)
     scale = np.maximum(1.0, np.abs(limit))
     ok = corr <= stab_tol * scale
@@ -93,24 +76,6 @@ def _diag_values_batch(symbol: Symbol, angles, stab_tol=1e-8):
     confirmed = exact_contact & (np.abs(limit - dmod) <= 1e-6 * np.maximum(1.0, dmod))
     ok &= ~exact_contact | confirmed
     return np.where(confirmed, dmod, limit), ok
-
-
-def closed_form_sup(symbol: Symbol) -> float:
-    """Exact sup |k| for the catalog subset with a closed form.
-
-    Identity and rotations give 1; a disc automorphism with parameter a gives
-    (1+|a|)/(1-|a|); z^k factors the kernel into a geometric sum of k terms
-    with supremum k.
-    """
-    from .symbols import Identity, MobiusAuto, Monomial, Rotation
-
-    if isinstance(symbol, (Identity, Rotation)):
-        return 1.0
-    if isinstance(symbol, MobiusAuto):
-        return (1.0 + abs(symbol.a)) / (1.0 - abs(symbol.a))
-    if isinstance(symbol, Monomial):
-        return float(symbol.k)
-    raise ParamError(f"no closed-form supremum for {symbol.describe()}")
 
 
 class Verdict(enum.Enum):
@@ -168,31 +133,53 @@ class SupEstimate:
     interior_max: float | None = None
 
 
-def _kernel_grid(symbol: Symbol, alphas, gammas, contact_tol):
-    """|k| over the outer product of boundary angle vectors.
+def _grid_geometry(alphas, gammas):
+    """The symbol-free part of the grid alphas x gammas.
+
+    Returns (alphas, za, zg, den, off_diag, ii, jj): the boundary points, the
+    denominator |1 - z conj(w)|, the mask of cells off the boundary diagonal
+    and the indices of the cells on it.  ``zg is za`` when ``gammas is alphas``.
+    """
+    za = np.exp(1j * alphas)
+    zg = za if gammas is alphas else np.exp(1j * gammas)
+    den = np.abs(1.0 - za[:, None] * np.conj(zg)[None, :])
+    on_diag = den < MIN_DENOMINATOR
+    ii, jj = np.nonzero(on_diag)
+    return alphas, za, zg, den, ~on_diag, ii, jj
+
+
+@functools.lru_cache(maxsize=1)
+def _start_geometry(n0):
+    """Read-only geometry of the uniform n0 x n0 start grid (9 n0^2 bytes)."""
+    alphas = TWO_PI * np.arange(n0) / n0
+    geometry = _grid_geometry(alphas, alphas)
+    for arr in geometry:
+        arr.flags.writeable = False
+    return geometry
+
+
+def _kernel_grid(symbol: Symbol, geometry, contact_tol):
+    """|k| over a grid of boundary angle pairs, given its _grid_geometry.
 
     Numerator and denominator share the complex-difference float path, so
     structurally equal symbols (the identity) give exactly 1.  Exact-diagonal
     cells are replaced by the radial extrapolation at contact angles and
     skipped elsewhere (their neighbors carry the blow-up).
     """
-    za = np.exp(1j * alphas)
-    zg = np.exp(1j * gammas)
+    alphas, za, zg, den, off_diag, ii, jj = geometry
     pa = symbol.value(za)
-    pg = symbol.value(zg)
-    num = np.abs(1.0 - pa[:, None] * np.conj(pg)[None, :])
-    den = np.abs(1.0 - za[:, None] * np.conj(zg)[None, :])
-    on_diag = den < MIN_DENOMINATOR
-    vals = np.zeros_like(num)
-    np.divide(num, den, out=vals, where=~on_diag)
-    if on_diag.any():
-        ii, jj = np.nonzero(on_diag)
+    pg = pa if zg is za else symbol.value(zg)
+    num = np.multiply.outer(pa, np.conj(pg))
+    np.subtract(1.0, num, out=num)
+    vals = np.abs(num)
+    np.divide(vals, den, out=vals, where=off_diag)
+    vals[ii, jj] = 0.0
+    if ii.size:
         diag_angles = alphas[ii]
         contact = contact_indicator(symbol, diag_angles, contact_tol)
         if contact.any():
             limits, ok = _diag_values_batch(symbol, diag_angles[contact])
-            fill = np.where(ok, limits, 0.0)
-            vals[ii[contact], jj[contact]] = fill
+            vals[ii[contact], jj[contact]] = np.where(ok, limits, 0.0)
     return vals
 
 
@@ -212,8 +199,9 @@ def estimate_sup(symbol: Symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTI
       interior sanity check failed.
     """
     n0 = settings.initial_grid
-    alphas = TWO_PI * np.arange(n0) / n0
-    vals = _kernel_grid(symbol, alphas, alphas, settings.contact_tol)
+    start = _start_geometry(n0)
+    alphas = start[0]
+    vals = _kernel_grid(symbol, start, settings.contact_tol)
     flat = int(np.argmax(vals))
     i, j = np.unravel_index(flat, vals.shape)
     best = float(vals[i, j])
@@ -226,7 +214,7 @@ def estimate_sup(symbol: Symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTI
         a0, g0 = arg
         local_a = np.linspace(a0 - spacing, a0 + spacing, settings.local_grid)
         local_g = np.linspace(g0 - spacing, g0 + spacing, settings.local_grid)
-        lv = _kernel_grid(symbol, local_a, local_g, settings.contact_tol)
+        lv = _kernel_grid(symbol, _grid_geometry(local_a, local_g), settings.contact_tol)
         flat = int(np.argmax(lv))
         li, lj = np.unravel_index(flat, lv.shape)
         prev = best
@@ -248,9 +236,7 @@ def estimate_sup(symbol: Symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTI
 
     interior_max = None
     if verdict is Verdict.BOUNDED:
-        rng = np.random.default_rng(settings.seed)
-        z = _sample_disc(rng, settings.interior_samples)
-        w = _sample_disc(rng, settings.interior_samples)
+        z, w = _interior_points(settings.seed, settings.interior_samples)
         interior = np.abs(
             (1.0 - symbol.value(z) * np.conj(symbol.value(w))) / (1.0 - z * np.conj(w))
         )
@@ -274,16 +260,11 @@ def _sample_disc(rng, count, max_radius=0.999):
     return radius * np.exp(1j * angle)
 
 
-def pointwise_kernel_identity_check(symbol: Symbol, sample_count: int = 10000, seed: int = 0):
-    """Max deviation of |1 - phi(z) conj(phi(w))| from |k| |1 - z conj(w)|.
-
-    The identity is algebraically exact; the returned maximum over random
-    interior pairs is pure round-off.
-    """
+@functools.lru_cache(maxsize=1)
+def _interior_points(seed, count):
+    """Read-only interior sample points (z, w) of the sanity check for a seed."""
     rng = np.random.default_rng(seed)
-    z = _sample_disc(rng, sample_count)
-    w = _sample_disc(rng, sample_count)
-    den = 1.0 - z * np.conj(w)
-    num = 1.0 - symbol.value(z) * np.conj(symbol.value(w))
-    k = num / den
-    return float(np.max(np.abs(np.abs(num) - np.abs(k) * np.abs(den))))
+    z = _sample_disc(rng, count)
+    w = _sample_disc(rng, count)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w

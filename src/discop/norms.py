@@ -290,21 +290,3 @@ def double_integral_functional(
         rel_error_estimate=refined.achieved_rel_change,
         trace=refined.trace,
     )
-
-
-def equivalence_ratio(
-    f, params: WeightParams, settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS
-) -> float:
-    """Ratio of the pairwise functional to the squared Dirichlet-type norm.
-
-    The denominator uses the exact coefficient route whenever f is a series
-    (removing one source of quadrature error from the ratio); both sides are
-    homogeneous of degree 2, so the ratio is scale-invariant.
-    """
-    if isinstance(f, TruncatedPowerSeries):
-        denominator = dirichlet_norm_sq_coeff(f, params.p_dirichlet)
-    else:
-        denominator = dirichlet_norm_sq_quad(f, params.p_dirichlet)
-    if denominator.value_sq <= 0.0:
-        raise ParamError("equivalence ratio undefined for constant functions")
-    return double_integral_functional(f, params, settings).value_sq / denominator.value_sq

@@ -191,17 +191,20 @@ class Polynomial(Symbol):
         if not coeffs:
             raise ParamError("a polynomial symbol needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
+        series = TruncatedPowerSeries(coeffs)
+        object.__setattr__(self, "_value_and_deriv", (series, differentiate(series)))
 
     def _series(self):
+        """The series of phi and of phi'; an unverified symbol may use neither."""
         if not self.verified:
             raise SymbolError("polynomial symbol was not verified as a self-map")
-        return TruncatedPowerSeries(self.coeffs)
+        return self._value_and_deriv
 
     def value(self, z):
-        return eval_series(self._series(), z)
+        return eval_series(self._series()[0], z)
 
     def deriv(self, z):
-        return eval_series(differentiate(self._series()), z)
+        return eval_series(self._series()[1], z)
 
     def describe(self):
         cs = ",".join(f"{c:g}" for c in self.coeffs)
@@ -328,28 +331,3 @@ def symbol_from_spec(spec: dict) -> Symbol:
     if kind == "poly":
         return Polynomial(coeffs=_spec_field(spec, "coeffs", _complex_list("symbol.coeffs")))
     raise ParamError(f"unknown symbol type {kind!r}")
-
-
-def symbol_to_spec(symbol: Symbol) -> dict:
-    """Inverse of symbol_from_spec (complex numbers as {'re','im'} objects)."""
-
-    def c2d(c):
-        return {"re": c.real, "im": c.imag}
-
-    if isinstance(symbol, Identity):
-        return {"type": "identity"}
-    if isinstance(symbol, Rotation):
-        return {"type": "rotation", "angle": symbol.angle}
-    if isinstance(symbol, MobiusAuto):
-        return {"type": "mobius", "a": c2d(symbol.a), "post_rotation": symbol.post_rotation}
-    if isinstance(symbol, Monomial):
-        return {"type": "monomial", "k": symbol.k}
-    if isinstance(symbol, FiniteBlaschke):
-        return {
-            "type": "blaschke",
-            "zeros": [c2d(a) for a in symbol.zeros],
-            "post_rotation": symbol.post_rotation,
-        }
-    if isinstance(symbol, Polynomial):
-        return {"type": "poly", "coeffs": [c2d(c) for c in symbol.coeffs]}
-    raise ParamError(f"cannot serialize symbol {symbol!r}")

@@ -18,10 +18,33 @@ extrapolated in K^-p.
 
 This route shares nothing with the library's quadrature: no disc rules, no
 FFTs, no node sets.
+
+The module also holds helpers that only the tests use: pointwise kernel
+evaluation, the closed-form suprema, the symbol spec writer, the equivalence
+ratio of one function, and the row-by-row Neville loop that the vectorised
+extrapolation is checked against.
 """
 
 import numpy as np
 from scipy.special import betaln, gammaln
+
+from discop.errors import DiscopError, ParamError
+from discop.kernels import MIN_DENOMINATOR, _sample_disc
+from discop.norms import (
+    dirichlet_norm_sq_coeff,
+    dirichlet_norm_sq_quad,
+    double_integral_functional,
+)
+from discop.quadrature import DEFAULT_BIDISC_SETTINGS
+from discop.series import TruncatedPowerSeries
+from discop.symbols import (
+    FiniteBlaschke,
+    Identity,
+    MobiusAuto,
+    Monomial,
+    Polynomial,
+    Rotation,
+)
 
 # D(z^n) at sigma = tau = 1, beta = 0.5, from the series oracle above
 # (kmax = 2^21, 4 Richardson levels; stable to ~1e-12 across depths)
@@ -82,3 +105,108 @@ def disc_moment(sigma, m):
 def dirichlet_monomial_sq(n, p):
     """||z^n||^2 in the p-weighted space: n^2 B(n, p+1)."""
     return n * n * float(np.exp(betaln(n, p + 1.0)))
+
+
+# --- test-only helpers over the library API -----------------------------------
+
+class SingularKernelError(DiscopError):
+    """Kernel evaluation requested too close to the boundary diagonal."""
+
+    code = "E_SINGULAR"
+
+
+def eval_kernel(symbol, z, w, min_denominator=MIN_DENOMINATOR):
+    """k(z, w) for points of the closed bidisc off the boundary diagonal.
+
+    An unverified polynomial symbol raises SymbolError.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    den = 1.0 - z * np.conj(w)
+    if np.any(np.abs(den) <= min_denominator):
+        raise SingularKernelError(
+            "kernel evaluation too close to the boundary diagonal (|1 - z conj(w)| underflow)"
+        )
+    out = (1.0 - symbol.value(z) * np.conj(symbol.value(w))) / den
+    return out if out.shape else complex(out)
+
+
+def closed_form_sup(symbol):
+    """Exact sup |k| for the catalog subset with a closed form.
+
+    Identity and rotations give 1; a disc automorphism with parameter a gives
+    (1+|a|)/(1-|a|); z^k factors the kernel into a geometric sum of k terms
+    with supremum k.
+    """
+    if isinstance(symbol, (Identity, Rotation)):
+        return 1.0
+    if isinstance(symbol, MobiusAuto):
+        return (1.0 + abs(symbol.a)) / (1.0 - abs(symbol.a))
+    if isinstance(symbol, Monomial):
+        return float(symbol.k)
+    raise ParamError(f"no closed-form supremum for {symbol.describe()}")
+
+
+def pointwise_kernel_identity_check(symbol, sample_count=10000, seed=0):
+    """Max deviation of |1 - phi(z) conj(phi(w))| from |k| |1 - z conj(w)|.
+
+    The identity is algebraically exact; the returned maximum over random
+    interior pairs is pure round-off.
+    """
+    rng = np.random.default_rng(seed)
+    z = _sample_disc(rng, sample_count)
+    w = _sample_disc(rng, sample_count)
+    den = 1.0 - z * np.conj(w)
+    num = 1.0 - symbol.value(z) * np.conj(symbol.value(w))
+    k = num / den
+    return float(np.max(np.abs(np.abs(num) - np.abs(k) * np.abs(den))))
+
+
+def equivalence_ratio(f, params, settings=DEFAULT_BIDISC_SETTINGS):
+    """Ratio of the pairwise functional to the squared Dirichlet-type norm.
+
+    The denominator uses the exact coefficient route whenever f is a series
+    (removing one source of quadrature error from the ratio); both sides are
+    homogeneous of degree 2, so the ratio is scale-invariant.
+    """
+    if isinstance(f, TruncatedPowerSeries):
+        denominator = dirichlet_norm_sq_coeff(f, params.p_dirichlet)
+    else:
+        denominator = dirichlet_norm_sq_quad(f, params.p_dirichlet)
+    if denominator.value_sq <= 0.0:
+        raise ParamError("equivalence ratio undefined for constant functions")
+    return double_integral_functional(f, params, settings).value_sq / denominator.value_sq
+
+
+def symbol_to_spec(symbol):
+    """Inverse of symbol_from_spec (complex numbers as {'re','im'} objects)."""
+
+    def c2d(c):
+        return {"re": c.real, "im": c.imag}
+
+    if isinstance(symbol, Identity):
+        return {"type": "identity"}
+    if isinstance(symbol, Rotation):
+        return {"type": "rotation", "angle": symbol.angle}
+    if isinstance(symbol, MobiusAuto):
+        return {"type": "mobius", "a": c2d(symbol.a), "post_rotation": symbol.post_rotation}
+    if isinstance(symbol, Monomial):
+        return {"type": "monomial", "k": symbol.k}
+    if isinstance(symbol, FiniteBlaschke):
+        return {
+            "type": "blaschke",
+            "zeros": [c2d(a) for a in symbol.zeros],
+            "post_rotation": symbol.post_rotation,
+        }
+    if isinstance(symbol, Polynomial):
+        return {"type": "poly", "coeffs": [c2d(c) for c in symbol.coeffs]}
+    raise ParamError(f"cannot serialize symbol {symbol!r}")
+
+
+def neville_to_zero_scalar(hs, table):
+    """Row-by-row Neville extrapolation to h = 0: the reference for the vectorised one."""
+    tab = [np.asarray(row, dtype=float) for row in table]
+    for m in range(1, len(tab)):
+        for i in range(len(tab) - 1, m - 1, -1):
+            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * hs[i] / (hs[i - m] - hs[i])
+    return tab[-1], np.abs(tab[-1] - tab[-2])

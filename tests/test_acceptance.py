@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from discop.errors import ParamError
-from discop.kernels import Verdict, estimate_sup, pointwise_kernel_identity_check
+from discop.kernels import Verdict, estimate_sup
 from discop.norms import (
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
-    equivalence_ratio,
     double_integral_functional,
     validate_main_theorem_params,
     validate_params,
@@ -22,7 +21,7 @@ from discop.norms import (
 from discop.operators import RankVerdict, bound_check, lift_norm_check, rank_sufficiency_check
 from discop.series import TruncatedPowerSeries
 from discop.symbols import Identity, MobiusAuto, Monomial, Polynomial, verify_self_map
-from oracles import dirichlet_monomial_sq
+from oracles import dirichlet_monomial_sq, equivalence_ratio, pointwise_kernel_identity_check
 
 
 def _report(number, passed, detail):

@@ -389,6 +389,38 @@ def test_plot_files_two_numeric_columns(tmp_path):
             float(x), float(y)
 
 
+def _emit_json_and_plots_row_by_row(outcome, out):
+    """The reference emission route: json.dump of asdict rows, one write per plot line."""
+    out.mkdir(parents=True)
+    payload = {
+        "rows": [asdict(r) for r in outcome.rows],
+        "traces": outcome.traces,
+        "exit_code": outcome.exit_code,
+    }
+    with (out / "report.json").open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, points in outcome.plots.items():
+        with (out / f"plot_{name}.dat").open("w", encoding="utf-8") as fh:
+            for x, y in points:
+                fh.write(f"{x!r} {y!r}\n")
+
+
+def test_emit_reports_bytes_match_row_by_row_route(tmp_path):
+    outcome = run(parse_config({"command": "rank-check", "symbol": {"type": "mobius", "a": 0.5}}))
+    sup = run(parse_config({"command": "kernel-sup", "symbol": {"type": "monomial", "k": 2},
+                            "sup_search": _fast_sup()}))
+    outcome.rows += sup.rows
+    outcome.traces.update(sup.traces)
+    outcome.plots.update(sup.plots)
+    assert len(outcome.rows) >= 4 and outcome.traces and len(outcome.plots) == 2
+    paths = emit_reports(outcome, tmp_path / "new")
+    _emit_json_and_plots_row_by_row(outcome, tmp_path / "old")
+    for name in ["report.json"] + [f"plot_{n}.dat" for n in outcome.plots]:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+    assert sorted(paths) == ["csv", "json", "plot_deriv_modulus", "plot_sup_trace"]
+
+
 # --- CLI ---------------------------------------------------------------------
 
 

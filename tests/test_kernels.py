@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from discop.errors import ParamError, SingularKernelError, SymbolError
+from discop.errors import ParamError, SymbolError
 from discop.kernels import (
     SupSearchSettings,
     Verdict,
     _diag_values_batch,
-    closed_form_sup,
+    _grid_geometry,
+    _interior_points,
+    _kernel_grid,
+    _neville_to_zero,
+    _start_geometry,
     estimate_sup,
-    eval_kernel,
-    pointwise_kernel_identity_check,
 )
 from discop.symbols import (
     FiniteBlaschke,
@@ -19,6 +21,13 @@ from discop.symbols import (
     Polynomial,
     Rotation,
     verify_self_map,
+)
+from oracles import (
+    SingularKernelError,
+    closed_form_sup,
+    eval_kernel,
+    neville_to_zero_scalar,
+    pointwise_kernel_identity_check,
 )
 
 
@@ -88,6 +97,49 @@ def test_diagonal_radial_limit(symbol, angle, expected):
         expected = float(abs(symbol.deriv(np.exp(1j * angle))))
     assert ok
     assert value == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_neville_vectorised_matches_scalar_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    hs = 0.2 * 0.5 ** np.arange(9)
+    table = rng.normal(size=(9, n)) * rng.uniform(0.5, 2.0, size=(9, 1))
+    limit, corr = _neville_to_zero(hs, table)
+    ref_limit, ref_corr = neville_to_zero_scalar(hs, table)
+    assert limit.tobytes() == ref_limit.tobytes()
+    assert corr.tobytes() == ref_corr.tobytes()
+
+
+# --- start-grid geometry cache -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        Monomial(2),
+        MobiusAuto(0.9),
+        FiniteBlaschke((0.5, -0.3j)),
+        verify_self_map(Polynomial([0.1, 0.3, 0.2])).symbol,
+    ],
+    ids=["z^2", "mobius-0.9", "blaschke", "interior-poly"],
+)
+def test_cached_start_grid_matches_uncached_bitwise(symbol):
+    cached = _start_geometry(256)
+    alphas = cached[0]
+    fresh = _grid_geometry(alphas.copy(), alphas.copy())
+    assert fresh[2] is not fresh[1]  # the uncached call evaluates phi twice
+    got = _kernel_grid(symbol, cached, 1e-6)
+    want = _kernel_grid(symbol, fresh, 1e-6)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cached_arrays_are_read_only():
+    estimate_sup(MobiusAuto(0.5))
+    for arr in _start_geometry(256) + _interior_points(0, 1000):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    first = estimate_sup(MobiusAuto(0.5))
+    assert estimate_sup(MobiusAuto(0.5)) == first
 
 
 # --- closed-form suprema ------------------------------------------------------

@@ -14,7 +14,6 @@ from discop.norms import (
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
-    equivalence_ratio,
     pairwise_difference_integral,
     validate_main_theorem_params,
     validate_params,
@@ -28,6 +27,7 @@ from oracles import (
     V1_QUAD_4X,
     V1_SERIES,
     dirichlet_monomial_sq,
+    equivalence_ratio,
     pairwise_series_oracle,
 )
 

@@ -14,9 +14,9 @@ from discop.symbols import (
     Rotation,
     contact_indicator,
     symbol_from_spec,
-    symbol_to_spec,
     verify_self_map,
 )
+from oracles import symbol_to_spec
 
 CATALOG = [
     Identity(),
