@@ -3,7 +3,7 @@
 
 Usage (from anywhere; n numbers the snapshot):
 
-    python3 scripts/bench_snapshot.py <n> [--seeds 1,2,3] [--seconds 30]
+    python3 scripts/bench_snapshot.py <n> [--seeds 1,2,...,10] [--seconds 30]
 
 Runs ``perfbench/run.py`` on every workload: once per seed with
 ``--trace 0`` (end-to-end metrics) and once, on the first seed, with
@@ -15,9 +15,14 @@ perfbench's ``env`` line.
 The comparison is measured, not looked up: ``HEAD`` is extracted with
 ``git archive`` into a temporary directory, and for every seed the parent
 and the working tree run back to back on this host, alternating which goes
-first.  Each end-to-end metric gets its per-pair relative change
+first; the default is ten seeds, so ten pairs, the fewest that can support a
+claimed gain.  Each end-to-end metric gets its per-pair relative change
 (working tree against parent) and the median of those changes, so a drift of
-the host's speed between snapshots does not read as a code change.  Run it
+the host's speed between snapshots does not read as a code change; the
+number of pairs the working tree wins (better in the direction
+``BENCHMARK.json`` gives the metric, ties counting for neither side); and
+the interquartile spread of the parent's runs, which a median difference
+must exceed to count.  Run it
 before committing, so that ``HEAD`` is the parent of the change.  The
 snapshot also records the line total of ``src/discop/*.py`` (as
 ``wc -l`` counts it) for ``HEAD`` and for the working tree.
@@ -71,22 +76,31 @@ def _src_lines(tree: Path) -> int:
 
 
 def _pair_changes(parent_runs: list, runs: list) -> dict:
-    """Per end-to-end metric: parent and working-tree values per seed, their changes."""
+    """Per end-to-end metric: parent and working-tree values per seed, their changes,
+    the pairs the working tree wins and the parent's interquartile spread."""
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = {}
     for metric in runs[0]["metrics"]:
         before = [r["metrics"][metric]["value"] for r in parent_runs]
         after = [r["metrics"][metric]["value"] for r in runs]
         changes = [(a - b) / abs(b) if b else None for a, b in zip(after, before)]
         known = [c for c in changes if c is not None]
+        sign = 1 if better[metric] == "higher" else -1
+        q1, _, q3 = statistics.quantiles(before, n=4)
         out[metric] = {"parent": before, "current": after, "rel_change": changes,
-                       "median_rel_change": statistics.median(known) if known else None}
+                       "median_rel_change": statistics.median(known) if known else None,
+                       "better": better[metric], "pairs": len(before),
+                       "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+                       "parent_iqr": q3 - q1}
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="snapshot number n of BENCH_<n>.json")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated, at least three")
+    parser.add_argument("--seeds", default=",".join(map(str, range(1, 11))),
+                        help="comma-separated, at least three; one pair per seed")
     parser.add_argument("--seconds", type=int, default=30)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import pairwise_series_oracle, dirichlet_monomial_sq  # noqa: E402
 
 from discop.norms import pairwise_difference_integral  # noqa: E402
-from discop.series import TruncatedPowerSeries, eval_series  # noqa: E402
+from discop.series import TruncatedPowerSeries  # noqa: E402
 
 
 def main() -> int:
@@ -32,9 +32,8 @@ def main() -> int:
     print(f"{'n':>2} {'series oracle':>20} {'quadrature 4x':>20} {'rel diff':>10} {'ratio':>12}")
     for n in range(1, 9):
         oracle = pairwise_series_oracle(n, sigma, tau, beta)
-        series = TruncatedPowerSeries.monomial(n)
         quad = pairwise_difference_integral(
-            lambda z: eval_series(series, z), sigma, tau, q, 128, 512
+            TruncatedPowerSeries.monomial(n).value, sigma, tau, q, 128, 512
         )
         ratio = oracle / dirichlet_monomial_sq(n, 1.0)
         print(f"{n:>2} {oracle:>20.12e} {quad:>20.12e} {abs(quad-oracle)/oracle:>10.2e} {ratio:>12.8f}")

@@ -27,10 +27,10 @@ from .norms import (
 from .operators import (
     BoundCheckReport,
     BoundCheckRow,
+    ComposedFunction,
     ContactSet,
     RankReport,
     RankVerdict,
-    apply_composition,
     bound_check,
     lift_norm_check,
     rank_sufficiency_check,

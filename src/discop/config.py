@@ -20,6 +20,7 @@ when ``tau`` is given, the strict equal-weight window otherwise.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -218,16 +219,14 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}", field="<root>")
 
+    if cfg_command in _NEEDS_SYMBOL and "symbol" not in obj:
+        raise ConfigError(f"{cfg_command} needs a symbol", field="symbol")
     symbol = None
-    if cfg_command in _NEEDS_SYMBOL:
-        if "symbol" not in obj:
-            raise ConfigError(f"{cfg_command} needs a symbol", field="symbol")
+    if "symbol" in obj:
         try:
             symbol = symbol_from_spec(obj["symbol"])
         except ParamError as exc:
             raise ConfigError(str(exc), field="symbol") from None
-    elif "symbol" in obj:
-        symbol = symbol_from_spec(obj["symbol"])
 
     family = ()
     if cfg_command in _NEEDS_FAMILY:
@@ -247,6 +246,15 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
     if "seed" not in (obj.get("sup_search") or {}):
         sup_search = replace(sup_search, seed=_number(obj.get("seed", 0), "seed", _integer))
 
+    selfmap_grid = _number(obj.get("selfmap_grid", 1024), "selfmap_grid", _integer)
+    if selfmap_grid < 256:
+        raise ConfigError(f"selfmap_grid must be >= 256, got {selfmap_grid}", field="selfmap_grid")
+    tolerances = {key: _number(obj.get(key, default), key)
+                  for key, default in (("selfmap_tol", 1e-6), ("stability_rel_tol", 0.02))}
+    for key, tol in tolerances.items():
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {tol!r}", field=key)
+
     return RunConfig(
         command=cfg_command,
         symbol=symbol,
@@ -254,9 +262,8 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         params=params,
         quadrature=_settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature"),
         sup_search=sup_search,
-        selfmap_grid=_number(obj.get("selfmap_grid", 1024), "selfmap_grid", _integer),
-        selfmap_tol=_number(obj.get("selfmap_tol", 1e-6), "selfmap_tol"),
-        stability_rel_tol=_number(obj.get("stability_rel_tol", 0.02), "stability_rel_tol"),
+        selfmap_grid=selfmap_grid,
+        **tolerances,
         out_dir=obj.get("out_dir"),
     )
 

@@ -38,7 +38,7 @@ from .quadrature import (
     integrate_disc,
     refine_until,
 )
-from .series import TruncatedPowerSeries, differentiate, eval_series
+from .series import TruncatedPowerSeries
 
 _RADIAL_BLOCK = 16  # z radii per slice of the shared kernel spectrum (bounds the products)
 
@@ -126,26 +126,6 @@ class NormResult:
             raise ParamError("squared norm cannot be negative")
 
 
-def _value_fn(f):
-    """Evaluation callable for series, disc-function objects, or plain callables."""
-    if isinstance(f, TruncatedPowerSeries):
-        return lambda z: eval_series(f, z)
-    if hasattr(f, "value"):
-        return f.value
-    if callable(f):
-        return f
-    raise ParamError(f"cannot evaluate object of type {type(f).__name__}")
-
-
-def _deriv_fn(f):
-    if isinstance(f, TruncatedPowerSeries):
-        df = differentiate(f)
-        return lambda z: eval_series(df, z)
-    if hasattr(f, "deriv"):
-        return f.deriv
-    raise ParamError(f"no derivative available for object of type {type(f).__name__}")
-
-
 def dirichlet_norm_sq_coeff(s: TruncatedPowerSeries, p: float) -> NormResult:
     """Exact squared Dirichlet-type norm from coefficients.
 
@@ -168,19 +148,18 @@ def dirichlet_norm_sq_coeff(s: TruncatedPowerSeries, p: float) -> NormResult:
 def dirichlet_norm_sq_quad(
     f, p: float, settings: QuadratureSettings = DEFAULT_DISC_SETTINGS
 ) -> NormResult:
-    """Squared Dirichlet-type norm by quadrature on |f'|^2.
+    """Squared Dirichlet-type norm by quadrature on |f'|^2; f answers ``deriv(z)``.
 
     The weight (1-|z|^2)^p is absorbed into the sigma = p rule; dividing by
     the rule normalization p+1 recovers the unweighted-dA convention.
     """
     if p < 0:
         raise ParamError(f"radial weight exponent must be >= 0, got {p:g}")
-    deriv = _deriv_fn(f)
 
     def functional(n_rad, n_ang):
         rule = build_disc_rule(p, n_rad, n_ang)
         # f' over a power of two near its largest modulus: exact, no subnormal squares
-        vals = np.asarray(deriv(rule.nodes))
+        vals = np.asarray(f.deriv(rule.nodes))
         e = int(np.frexp(np.max(np.abs(vals)))[1])
         re, im = np.ldexp(vals.real, -e), np.ldexp(vals.imag, -e)
         val = integrate_disc(rule, lambda z: re * re + im * im)
@@ -271,17 +250,16 @@ def pairwise_difference_integral(
 def double_integral_functional(
     f, params: WeightParams, settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS
 ) -> NormResult:
-    """Refinement-driven evaluation of the pairwise double-integral functional.
+    """Refinement-driven evaluation of the pairwise double-integral functional of f.value.
 
     Expected to lose accuracy (and eventually fail with ConvergenceError)
     as beta approaches the upper endpoint of the window while f has large
     boundary oscillation; the refinement trace is attached for diagnosis.
     """
-    value_fn = _value_fn(f)
     q = params.q_exponent
 
     def functional(n_rad, n_ang):
-        return pairwise_difference_integral(value_fn, params.sigma, params.tau, q, n_rad, n_ang)
+        return pairwise_difference_integral(f.value, params.sigma, params.tau, q, n_rad, n_ang)
 
     refined = refine_until(settings, functional)
     return NormResult(

@@ -1,8 +1,10 @@
 """Composition operators, the lift to the bidisc, and the bound pipeline.
 
-The composition operator sends f to f(phi(.)); its Dirichlet-type norm is
-computed by quadrature on the chain-rule derivative f'(phi(z)) phi'(z), with
-the coefficient route (via numerical coefficient extraction) available as a
+The composition operator sends f to f(phi(.)).  ``ComposedFunction(f, phi)``
+answers ``value(z)`` and ``deriv(z)`` (the chain rule f'(phi(z)) phi'(z)), as
+series and symbols do, so the norm routes take it as they take f; its
+Dirichlet-type norm is computed by quadrature on that derivative, with the
+coefficient route (via numerical coefficient extraction) available as a
 cross-check only.
 
 The lift sends a disc function to the bidisc difference quotient
@@ -24,7 +26,8 @@ The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
 entries phi'(zeta_1), phi'(zeta_2) (the cross partials vanish), so
 invertibility at every boundary-contact pair reduces to |phi'| staying away
-from zero on the one-variable contact set.
+from zero on the one-variable contact set.  The check evaluates phi and phi'
+once on its boundary grid and decides every case from those two arrays.
 """
 
 from __future__ import annotations
@@ -37,12 +40,10 @@ from scipy.optimize import minimize_scalar
 
 from ._numutil import abs_sq, powq
 from .errors import ConvergenceError, ParamError
-from .kernels import SupEstimate, SupSearchSettings, Verdict, estimate_sup
+from .kernels import SupEstimate, Verdict, estimate_sup
 from .norms import (
     NormResult,
     WeightParams,
-    _deriv_fn,
-    _value_fn,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     pairwise_difference_integral,
@@ -55,7 +56,7 @@ from .quadrature import (
     build_disc_rule,
 )
 from .series import TruncatedPowerSeries
-from .symbols import BoundaryPoint, Identity, Symbol
+from .symbols import BoundaryPoint, Identity, Polynomial, Symbol
 
 TWO_PI = 2.0 * np.pi
 #: rows per block of the composed pair engine, rows per tile of its elementwise
@@ -66,21 +67,16 @@ _LOWER = np.tri(_BLOCK, dtype=bool)
 
 @dataclass(frozen=True)
 class ComposedFunction:
-    """f composed with a symbol; exposes value and chain-rule derivative."""
+    """f (a series, symbol or composition) after a symbol: value and chain-rule derivative."""
 
     f: object
     symbol: Symbol
 
     def value(self, z):
-        return _value_fn(self.f)(self.symbol.value(z))
+        return self.f.value(self.symbol.value(z))
 
     def deriv(self, z):
-        return _deriv_fn(self.f)(self.symbol.value(z)) * self.symbol.deriv(z)
-
-
-def apply_composition(f, symbol: Symbol) -> ComposedFunction:
-    """The composition operator applied to f (value and derivative evaluators)."""
-    return ComposedFunction(f=f, symbol=symbol)
+        return self.f.deriv(self.symbol.value(z)) * self.symbol.deriv(z)
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,9 @@ def lift_norm_check(
     """
     params = validate_main_theorem_params(sigma, beta)
     q = params.q_exponent
-    value_fn = _value_fn(f)
 
     def d_eval(n_rad, n_ang):
-        return pairwise_difference_integral(value_fn, sigma, sigma, q, n_rad, n_ang)
+        return pairwise_difference_integral(f.value, sigma, sigma, q, n_rad, n_ang)
 
     # Bergman route: direct pair summation of the squared lift modulus (the
     # lift exponent is q/2, so the squared modulus carries the kernel power
@@ -130,7 +125,7 @@ def lift_norm_check(
     identity = Identity()
 
     def l_eval(n_rad, n_ang):
-        (value,), _, _, _ = _composed_pair_sums([value_fn], identity, sigma, q, n_rad, n_ang)
+        (value,), _, _, _ = _composed_pair_sums([f.value], identity, sigma, q, n_rad, n_ang)
         return value
 
     n_rad, n_ang = settings.radial_count, settings.angular_count
@@ -263,71 +258,41 @@ def rank_sufficiency_check(
         raise ParamError("scan resolution must be >= 256")
     theta = TWO_PI * np.arange(scan_resolution) / scan_resolution
     zeta = np.exp(1j * theta)
-
-    if symbol.boundary_unimodular:
-        dmod = np.abs(symbol.deriv(zeta))
-        k = int(np.argmin(dmod))
-        refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / scan_resolution)
-        min_deriv = min(float(dmod[k]), refined)
-        contact = ContactSet(full_circle=True, points=(), exhaustive=True)
-        verdict = RankVerdict.PASS if min_deriv > deriv_tol else RankVerdict.FAIL
-        return RankReport(
-            contact=contact, min_deriv_modulus=min_deriv, verdict=verdict, deriv_tol=deriv_tol
-        )
-
-    mods = np.abs(symbol.value(zeta))
-    degree = _symbol_degree(symbol)
+    phi, dphi = symbol.value(zeta), symbol.deriv(zeta)
+    mods, dmod = np.abs(phi), np.abs(dphi)
+    degree = len(symbol.coeffs) - 1 if isinstance(symbol, Polynomial) else None
     exhaustive = degree is not None and scan_resolution >= 32 * (2 * degree + 1)
-
-    if float(np.max(mods)) < 1.0 - contact_tol:
-        contact = ContactSet(full_circle=False, points=(), exhaustive=exhaustive)
-        return RankReport(
-            contact=contact, min_deriv_modulus=None, verdict=RankVerdict.VACUOUS,
-            deriv_tol=deriv_tol,
-        )
-
-    if float(np.max(mods) - np.min(mods)) <= 1e-12:
-        # unimodular in effect (e.g. a rotation written as a polynomial)
-        dmod = np.abs(symbol.deriv(zeta))
-        min_deriv = float(np.min(dmod))
-        contact = ContactSet(full_circle=True, points=(), exhaustive=True)
+    touched = symbol.boundary_unimodular or not float(np.max(mods)) < 1.0 - contact_tol
+    # the whole circle is contact by construction, or in effect (e.g. a
+    # rotation written as a polynomial)
+    full_circle = symbol.boundary_unimodular or (
+        touched and float(np.max(mods) - np.min(mods)) <= 1e-12)
+    points, min_deriv = [], None
+    if full_circle:
+        exhaustive, k = True, int(np.argmin(dmod))
+        min_deriv = float(dmod[k])
+        if symbol.boundary_unimodular:
+            refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / scan_resolution)
+            min_deriv = min(min_deriv, refined)
+    elif touched:
+        # bracket local maxima of |phi|^2 through sign changes of its angular slope
+        slope = 2.0 * np.real(np.conj(phi) * 1j * zeta * dphi)
+        for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
+            peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / scan_resolution)
+            if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= contact_tol:
+                points.append(BoundaryPoint(peak))
+        if points:
+            min_deriv = min(float(np.abs(symbol.deriv(p.to_complex()))) for p in points)
+        else:
+            exhaustive = False  # the grid touched the contact band, no bracket resolved it
+    if min_deriv is not None:
         verdict = RankVerdict.PASS if min_deriv > deriv_tol else RankVerdict.FAIL
-        return RankReport(
-            contact=contact, min_deriv_modulus=min_deriv, verdict=verdict, deriv_tol=deriv_tol
-        )
-
-    # bracket local maxima of |phi|^2 through sign changes of its angular slope
-    zr = np.exp(1j * theta)
-    slope = 2.0 * np.real(np.conj(symbol.value(zr)) * 1j * zr * symbol.deriv(zr))
-    points = []
-    for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
-        peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / scan_resolution)
-        gap = 1.0 - float(np.abs(symbol.value(np.exp(1j * peak))))
-        if gap <= contact_tol:
-            points.append(BoundaryPoint(peak))
-    if not points:
-        # grid touched the contact band but no slope bracket resolved it
-        return RankReport(
-            contact=ContactSet(full_circle=False, points=(), exhaustive=False),
-            min_deriv_modulus=None,
-            verdict=RankVerdict.INCONCLUSIVE,
-            deriv_tol=deriv_tol,
-        )
-    derivs = [float(np.abs(symbol.deriv(p.to_complex()))) for p in points]
-    min_deriv = min(derivs)
-    contact = ContactSet(full_circle=False, points=tuple(points), exhaustive=exhaustive)
-    verdict = RankVerdict.PASS if min_deriv > deriv_tol else RankVerdict.FAIL
+    else:
+        verdict = RankVerdict.INCONCLUSIVE if touched else RankVerdict.VACUOUS
     return RankReport(
-        contact=contact, min_deriv_modulus=min_deriv, verdict=verdict, deriv_tol=deriv_tol
+        contact=ContactSet(full_circle=full_circle, points=tuple(points), exhaustive=exhaustive),
+        min_deriv_modulus=min_deriv, verdict=verdict, deriv_tol=deriv_tol,
     )
-
-
-def _symbol_degree(symbol: Symbol):
-    from .symbols import Polynomial
-
-    if isinstance(symbol, Polynomial):
-        return len(symbol.coeffs) - 1
-    return None
 
 
 # --- bound pipeline ---------------------------------------------------------
@@ -470,7 +435,6 @@ def bound_check(
     sigma: float,
     beta: float,
     settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS,
-    sup_settings: SupSearchSettings | None = None,
     sup: SupEstimate | None = None,
     labels=None,
 ) -> BoundCheckReport:
@@ -487,7 +451,7 @@ def bound_check(
     p = params.p_dirichlet
     q = params.q_exponent
     if sup is None:
-        sup = estimate_sup(symbol, sup_settings or SupSearchSettings())
+        sup = estimate_sup(symbol)
     if sup.verdict is not Verdict.BOUNDED:
         raise ParamError(
             f"bound check requires a Bounded kernel supremum, got {sup.verdict.value}"
@@ -502,12 +466,12 @@ def bound_check(
     coarse_ang = max(settings.angular_count // settings.refinement_factor, 8)
     norms = []
     for label, f in zip(labels, family):
-        comp_norm = dirichlet_norm_sq_quad(apply_composition(f, symbol), p, settings)
+        comp_norm = dirichlet_norm_sq_quad(ComposedFunction(f, symbol), p, settings)
         f_norm = dirichlet_norm_sq_coeff(f, p)
         if f_norm.value_sq <= 0.0:
             raise ParamError(f"family member {label} is constant; ratio undefined")
         norms.append((comp_norm, f_norm, comp_norm.value_sq / (sup_q * f_norm.value_sq)))
-    value_fns = [_value_fn(f) for f in family]
+    value_fns = [f.value for f in family]
     eq_coarse, _, _, _ = _composed_pair_sums(value_fns, symbol, sigma, q, coarse_rad, coarse_ang)
     eq_base, violations, checked, max_kernel = _composed_pair_sums(
         value_fns, symbol, sigma, q,

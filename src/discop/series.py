@@ -2,12 +2,14 @@
 
 A series is a finite coefficient list ``a_0 .. a_N``; the stored length is
 authoritative (trailing zeros are kept, the truncation order is ``N``).
-Evaluation uses Horner's scheme and is vectorized over numpy arrays.
+Evaluation uses Horner's scheme and is vectorized over numpy arrays; a
+series answers ``value(z)`` and ``deriv(z)`` as the disc symbols do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +36,18 @@ class TruncatedPowerSeries:
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
+    def value(self, z):
         return eval_series(self, z)
+
+    __call__ = value
+
+    def deriv(self, z):
+        return eval_series(self._derivative, z)
+
+    @cached_property
+    def _derivative(self) -> "TruncatedPowerSeries":
+        # built on first use: building it eagerly would recurse through differentiate
+        return differentiate(self)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedPowerSeries):
@@ -56,10 +68,6 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
-
-    @classmethod
-    def constant(cls, c) -> "TruncatedPowerSeries":
-        return cls((complex(c),))
 
     @classmethod
     def monomial(cls, n: int) -> "TruncatedPowerSeries":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParamError, SymbolError
-from .series import TruncatedPowerSeries, differentiate, eval_series
+from .series import TruncatedPowerSeries
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,20 +191,20 @@ class Polynomial(Symbol):
         if not coeffs:
             raise ParamError("a polynomial symbol needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-        series = TruncatedPowerSeries(coeffs)
-        object.__setattr__(self, "_value_and_deriv", (series, differentiate(series)))
+        object.__setattr__(self, "_unchecked_series", TruncatedPowerSeries(coeffs))
 
-    def _series(self):
-        """The series of phi and of phi'; an unverified symbol may use neither."""
+    @property
+    def _series(self) -> TruncatedPowerSeries:
+        """The series of phi; an unverified symbol may not use it."""
         if not self.verified:
             raise SymbolError("polynomial symbol was not verified as a self-map")
-        return self._value_and_deriv
+        return self._unchecked_series
 
     def value(self, z):
-        return eval_series(self._series()[0], z)
+        return self._series.value(z)
 
     def deriv(self, z):
-        return eval_series(self._series()[1], z)
+        return self._series.deriv(z)
 
     def describe(self):
         cs = ",".join(f"{c:g}" for c in self.coeffs)
@@ -307,27 +307,33 @@ def _complex_list(where):
     return lambda values: tuple(_complex_from_obj(c, where) for c in values)
 
 
+#: per symbol type: the class, then each field with its reader and default
+#: (None: required); the first field is the one the constructor checks
+_SPECS = {
+    "identity": (Identity, {}),
+    "rotation": (Rotation, {"angle": (float, None)}),
+    "mobius": (MobiusAuto, {"a": (lambda a: _complex_from_obj(a, "symbol.a"), None),
+                            "post_rotation": (float, 0.0)}),
+    "monomial": (Monomial, {"k": (_integer, None)}),
+    "blaschke": (FiniteBlaschke, {"zeros": (_complex_list("symbol.zeros"), None),
+                                  "post_rotation": (float, 0.0)}),
+    "poly": (Polynomial, {"coeffs": (_complex_list("symbol.coeffs"), None)}),
+}
+
+
 def symbol_from_spec(spec: dict) -> Symbol:
-    """Build a symbol from its structured text form (field ``type`` selects the variant)."""
+    """Build a symbol from its structured text form (field ``type`` selects the variant).
+
+    An unreadable or out-of-range field is named as ``symbol.<field>``.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ParamError("symbol spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind == "identity":
-        return Identity()
-    if kind == "rotation":
-        return Rotation(angle=_spec_field(spec, "angle", float))
-    if kind == "mobius":
-        return MobiusAuto(
-            a=_spec_field(spec, "a", lambda a: _complex_from_obj(a, "symbol.a")),
-            post_rotation=_spec_field(spec, "post_rotation", float, 0.0),
-        )
-    if kind == "monomial":
-        return Monomial(k=_spec_field(spec, "k", _integer))
-    if kind == "blaschke":
-        return FiniteBlaschke(
-            zeros=_spec_field(spec, "zeros", _complex_list("symbol.zeros")),
-            post_rotation=_spec_field(spec, "post_rotation", float, 0.0),
-        )
-    if kind == "poly":
-        return Polynomial(coeffs=_spec_field(spec, "coeffs", _complex_list("symbol.coeffs")))
-    raise ParamError(f"unknown symbol type {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPECS:
+        raise ParamError(f"unknown symbol type {kind!r}")
+    cls, fields = _SPECS[kind]
+    kwargs = {key: _spec_field(spec, key, *reader) for key, reader in fields.items()}
+    try:
+        return cls(**kwargs)
+    except ParamError as exc:
+        raise ParamError(f"symbol.{next(iter(fields))}: {exc}") from None

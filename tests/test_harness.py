@@ -566,6 +566,37 @@ def test_cli_command_must_match_config(tmp_path, capsys):
              "sup_search": {"interior_samples": -1}},
             "sup_search.interior_samples",
         ),
+        ({"command": "kernel-sup", "symbol": {"type": "mobius", "a": 2}}, "symbol.a"),
+        ({"command": "kernel-sup", "symbol": {"type": "monomial", "k": 0}}, "symbol.k"),
+        ({"command": "kernel-sup", "symbol": {"type": "blaschke", "zeros": []}}, "symbol.zeros"),
+        ({"command": "kernel-sup", "symbol": {"type": "blaschke", "zeros": [1.5]}}, "symbol.zeros"),
+        ({"command": "kernel-sup", "symbol": {"type": "poly", "coeffs": []}}, "symbol.coeffs"),
+        (
+            {"command": "norm", "family": "monomials:1..2", "params": {"sigma": 1.0, "beta": 0.5},
+             "symbol": {"type": "mobius", "a": 2}},
+            "[E_CONFIG]: symbol.a",
+        ),
+        (
+            {"command": "equivalence", "family": "monomials:1..2",
+             "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}, "symbol": {"type": "rotation"}},
+            "[E_CONFIG]: symbol.angle",
+        ),
+        ({"command": "selfmap-check", "symbol": {"type": "identity"}, "selfmap_tol": 0}, "selfmap_tol"),
+        (
+            {"command": "selfmap-check", "symbol": {"type": "identity"}, "selfmap_tol": -0.5},
+            "selfmap_tol",
+        ),
+        ({"command": "selfmap-check", "symbol": {"type": "identity"}, "selfmap_grid": 10}, "selfmap_grid"),
+        (
+            {"command": "equivalence", "family": "monomials:1..2",
+             "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}, "stability_rel_tol": -1},
+            "stability_rel_tol",
+        ),
+        (
+            {"command": "equivalence", "family": "monomials:1..2",
+             "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}, "stability_rel_tol": float("nan")},
+            "stability_rel_tol",
+        ),
     ],
 )
 def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):

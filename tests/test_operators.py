@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import discop
 from discop._numutil import powq
 from discop.errors import ConvergenceError, ParamError
-from discop.norms import _value_fn, double_integral_functional, validate_params
+from discop.norms import double_integral_functional, validate_params
 from discop.operators import (
     _composed_pair_sums,
+    ComposedFunction,
     RankVerdict,
-    apply_composition,
     bound_check,
     lift_norm_check,
     rank_sufficiency_check,
@@ -39,13 +39,13 @@ SMALL = QuadratureSettings(radial_count=16, angular_count=64, max_refinements=2)
 
 
 def test_composition_with_identity_series():
-    comp = apply_composition(TruncatedPowerSeries.monomial(1), MobiusAuto(0.5))
+    comp = ComposedFunction(TruncatedPowerSeries.monomial(1), MobiusAuto(0.5))
     z = np.array([0.1, 0.3 - 0.2j, -0.5j])
     assert np.allclose(comp.value(z), MobiusAuto(0.5).value(z), atol=1e-15)
 
 
 def test_composition_of_square_with_cube():
-    comp = apply_composition(TruncatedPowerSeries.monomial(2), Monomial(3))
+    comp = ComposedFunction(TruncatedPowerSeries.monomial(2), Monomial(3))
     z = np.array([0.5, 0.2 + 0.1j])
     assert np.allclose(comp.value(z), z**6, atol=1e-14)
     assert np.allclose(comp.deriv(z), 6 * z**5, atol=1e-13)
@@ -54,7 +54,7 @@ def test_composition_of_square_with_cube():
 def test_composition_coefficients_match_geometric_expansion():
     # f = z composed with the automorphism is the automorphism itself, whose
     # series is 0.5 - 0.75 z - 0.375 z^2 - ... (geometric with ratio 0.5)
-    comp = apply_composition(TruncatedPowerSeries.monomial(1), MobiusAuto(0.5))
+    comp = ComposedFunction(TruncatedPowerSeries.monomial(1), MobiusAuto(0.5))
     series = coefficients_of(comp.value, 8)
     expected = [0.5] + [-0.75 * 0.5 ** (n - 1) for n in range(1, 9)]
     assert np.allclose(series.coeffs, expected, atol=1e-10)
@@ -75,9 +75,9 @@ def test_composition_linearity(scale, coeffs_f, coeffs_g):
     f = TruncatedPowerSeries(coeffs_f)
     g = TruncatedPowerSeries(coeffs_g)
     phi = MobiusAuto(0.4j)
-    combined = apply_composition(scale * f + g, phi)
-    left = apply_composition(f, phi)
-    right = apply_composition(g, phi)
+    combined = ComposedFunction(scale * f + g, phi)
+    left = ComposedFunction(f, phi)
+    right = ComposedFunction(g, phi)
     z = np.array([0.2, -0.3 + 0.4j, 0.6j])
     expected = scale * left.value(z) + right.value(z)
     got = combined.value(z)
@@ -169,6 +169,32 @@ def test_rank_polynomial_rotation_detected_as_full_circle():
     assert report.verdict is RankVerdict.PASS
 
 
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        Monomial(2),
+        MobiusAuto(0.5),
+        FiniteBlaschke((0.3, -0.5j)),
+        verify_self_map(Polynomial([0.5, 0.5])).symbol,
+        verify_self_map(Polynomial([0.3])).symbol,
+        verify_self_map(Polynomial([0.0, 1.0])).symbol,
+    ],
+)
+def test_rank_scan_evaluates_symbol_and_derivative_once(monkeypatch, symbol):
+    calls = []
+    for name in ("value", "deriv"):
+        method = getattr(type(symbol), name)
+
+        def counted(self, z, method=method, name=name):
+            if np.size(z) == 4096:  # the scan grid
+                calls.append(name)
+            return method(self, z)
+
+        monkeypatch.setattr(type(symbol), name, counted)
+    rank_sufficiency_check(symbol, scan_resolution=4096)
+    assert sorted(calls) == ["deriv", "value"]
+
+
 def test_rank_resolution_guard():
     with pytest.raises(ParamError):
         rank_sufficiency_check(Monomial(2), scan_resolution=100)
@@ -258,7 +284,7 @@ def _assert_full_matrix_reference(sigma, q, n_rad, n_ang):
         want_violations.append(int(np.count_nonzero(bad & off_diagonal)))
 
     values, violations, pairs, max_kernel = _composed_pair_sums(
-        [_value_fn(f) for f in ENGINE_FAMILY], ENGINE_SYMBOL, sigma, q, n_rad, n_ang,
+        [f.value for f in ENGINE_FAMILY], ENGINE_SYMBOL, sigma, q, n_rad, n_ang,
         sup_q=sup_q, rel_tol=rel_tol,
     )
     assert pairs == len(z) ** 2
@@ -273,7 +299,7 @@ def _assert_full_matrix_reference(sigma, q, n_rad, n_ang):
 def test_composed_pair_sums_match_full_matrix_reference():
     sigma, q, n_rad, n_ang = 1.0, 5.0, 6, 16
     values = _assert_full_matrix_reference(sigma, q, n_rad, n_ang)
-    value_fns = [_value_fn(f) for f in ENGINE_FAMILY]
+    value_fns = [f.value for f in ENGINE_FAMILY]
     plain, none_violations, _, none_kernel = _composed_pair_sums(
         value_fns, ENGINE_SYMBOL, sigma, q, n_rad, n_ang
     )
@@ -300,23 +326,23 @@ def test_composed_pair_sums_blind_to_constants():
     family = [TruncatedPowerSeries([0.0, 1.0, 0.5]), TruncatedPowerSeries([0.0, 0.2j, 0.0, -0.7])]
     shifted = [TruncatedPowerSeries([1000.0] + list(f.coeffs[1:])) for f in family]
     base, _, _, _ = _composed_pair_sums(
-        [_value_fn(f) for f in family], symbol, sigma, q, n_rad, n_ang
+        [f.value for f in family], symbol, sigma, q, n_rad, n_ang
     )
     moved, _, _, _ = _composed_pair_sums(
-        [_value_fn(f) for f in shifted], symbol, sigma, q, n_rad, n_ang
+        [f.value for f in shifted], symbol, sigma, q, n_rad, n_ang
     )
     assert min(base) > 0.0
     for got, want in zip(moved, base):
         assert got == pytest.approx(want, rel=1e-12)
     flat, _, _, _ = _composed_pair_sums(
-        [_value_fn(TruncatedPowerSeries([1000.0]))], symbol, sigma, q, n_rad, n_ang
+        [TruncatedPowerSeries([1000.0]).value], symbol, sigma, q, n_rad, n_ang
     )
     assert flat == [0.0]
 
 
 def _engine_bits():
     values, _, _, max_kernel = _composed_pair_sums(
-        [_value_fn(TruncatedPowerSeries.monomial(n)) for n in (1, 2, 3)],
+        [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)],
         ENGINE_SYMBOL, *TWO_BLOCK_RULE, sup_q=1.0,
     )
     return " ".join(float(x).hex() for x in values + [max_kernel])
@@ -359,7 +385,7 @@ def test_composed_pair_sums_match_full_matrix_reference_at_tile_seam(q):
 
 def _seam_bits():
     values, violations, _, max_kernel = _composed_pair_sums(
-        [_value_fn(TruncatedPowerSeries.monomial(n)) for n in (1, 2, 3)],
+        [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)],
         ENGINE_SYMBOL, SEAM_RULE[0], 5.0, *SEAM_RULE[1:], sup_q=1.0,
     )
     return " ".join([float(x).hex() for x in values + [max_kernel]] + [str(violations)])
@@ -383,7 +409,7 @@ def test_composed_pair_sums_memory_is_one_block_per_kernel(sup_q, blocks):
     """The traced peak of a pass stays near its reused 512 x N workspaces."""
     n_rad, n_ang = 24, 96
     block = 512 * n_rad * n_ang * 8
-    value_fns = [_value_fn(TruncatedPowerSeries([0.0, 1.0, 0.3, -0.2j]))]
+    value_fns = [TruncatedPowerSeries([0.0, 1.0, 0.3, -0.2j]).value]
     tracemalloc.start()
     try:
         _composed_pair_sums(value_fns, Identity(), 1.0, 5.0, n_rad, n_ang, sup_q=sup_q)

@@ -10,6 +10,7 @@ from discop.series import (
     differentiate,
     eval_series,
 )
+from discop.symbols import Polynomial
 
 coeff_strategy = st.lists(
     st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
@@ -45,6 +46,18 @@ def test_eval_vectorized_matches_scalar():
     batch = eval_series(s, zs)
     for z, v in zip(zs, batch):
         assert eval_series(s, z) == pytest.approx(v)
+
+
+@given(coeffs=coeff_strategy)
+def test_value_and_deriv_are_horner_of_series_and_derivative(coeffs):
+    s = TruncatedPowerSeries(coeffs)
+    poly = Polynomial(coeffs, verified=True)
+    z = np.array([0.0, 0.3 + 0.4j, -0.9j, np.exp(0.7j)])
+    want = eval_series(differentiate(s), z)
+    assert s.deriv(z).tobytes() == want.tobytes()
+    assert poly.deriv(z).tobytes() == want.tobytes()
+    assert s.value(z).tobytes() == s(z).tobytes() == eval_series(s, z).tobytes()
+    assert poly.deriv(0.5j) == eval_series(differentiate(s), 0.5j)
 
 
 def test_differentiate_linear():
