@@ -23,7 +23,13 @@ number of pairs the working tree wins (better in the direction
 ``BENCHMARK.json`` gives the metric, ties counting for neither side); and
 the interquartile spread of the parent's runs, which a median difference
 must exceed to count.  Run it
-before committing, so that ``HEAD`` is the parent of the change.  The
+before committing, so that ``HEAD`` is the parent of the change.
+
+Each bundled config of ``configs/`` is also measured end to end: once per
+seed, ``HEAD`` and the working tree each run it through
+``python -m discop <command> --config`` (alternating which goes first, as
+above), and the snapshot records per config the median wall time of the
+process, the exit codes, the per-pair changes and the pairs won.  The
 snapshot also records the line total of ``src/discop/*.py`` (as
 ``wc -l`` counts it) for ``HEAD`` and for the working tree.
 """
@@ -33,11 +39,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +68,18 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int):
     return env, json.loads(lines[-1])
 
 
+def _run_config(tree: Path, config: Path, out: Path):
+    """One CLI run of ``config`` on the sources of ``tree``: (wall seconds, exit code)."""
+    command = json.loads(config.read_text())["command"]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "discop", command, "--config", str(config), "--out", str(out)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return time.perf_counter() - t0, done.returncode
+
+
 def _extract_head(into: Path) -> str:
     """Unpack the committed tree of HEAD into ``into``; returns its commit hash."""
     archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, capture_output=True,
@@ -75,25 +95,46 @@ def _src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "discop").glob("*.py"))
 
 
+def _compare(before: list, after: list, better: str) -> dict:
+    """Parent and working-tree values per seed, their changes, the pairs the
+    working tree wins and the parent's interquartile spread."""
+    changes = [(a - b) / abs(b) if b else None for a, b in zip(after, before)]
+    known = [c for c in changes if c is not None]
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(before, n=4)
+    return {"parent": before, "current": after, "rel_change": changes,
+            "median_rel_change": statistics.median(known) if known else None,
+            "better": better, "pairs": len(before),
+            "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+            "parent_iqr": q3 - q1}
+
+
 def _pair_changes(parent_runs: list, runs: list) -> dict:
-    """Per end-to-end metric: parent and working-tree values per seed, their changes,
-    the pairs the working tree wins and the parent's interquartile spread."""
+    """_compare for each end-to-end metric, in the direction BENCHMARK.json gives it."""
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    out = {}
-    for metric in runs[0]["metrics"]:
-        before = [r["metrics"][metric]["value"] for r in parent_runs]
-        after = [r["metrics"][metric]["value"] for r in runs]
-        changes = [(a - b) / abs(b) if b else None for a, b in zip(after, before)]
-        known = [c for c in changes if c is not None]
-        sign = 1 if better[metric] == "higher" else -1
-        q1, _, q3 = statistics.quantiles(before, n=4)
-        out[metric] = {"parent": before, "current": after, "rel_change": changes,
-                       "median_rel_change": statistics.median(known) if known else None,
-                       "better": better[metric], "pairs": len(before),
-                       "wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
-                       "parent_iqr": q3 - q1}
-    return out
+    return {metric: _compare([r["metrics"][metric]["value"] for r in parent_runs],
+                             [r["metrics"][metric]["value"] for r in runs], better[metric])
+            for metric in runs[0]["metrics"]}
+
+
+def _measure_configs(parent_tree: Path, seeds: list, scratch: Path):
+    """Per bundled config: its end-to-end entry and its parent comparison."""
+    configs, comparison = {}, {}
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        walls, codes = {ROOT: [], parent_tree: []}, {}
+        for i in range(len(seeds)):
+            order = [ROOT, parent_tree]
+            for tree in order[::-1] if i % 2 else order:
+                wall, codes[tree] = _run_config(tree, path, scratch / "out")
+                walls[tree].append(wall)
+        print(f"{path.stem}: median wall_s parent {statistics.median(walls[parent_tree]):.3f}, "
+              f"working tree {statistics.median(walls[ROOT]):.3f}", file=sys.stderr)
+        configs[path.stem] = {"exit_code": codes[ROOT], "wall_s": {
+            "value": statistics.median(walls[ROOT]), "unit": "s", "per_seed": walls[ROOT]}}
+        comparison[path.stem] = {"parent_exit_code": codes[parent_tree],
+                                 "wall_s": _compare(walls[parent_tree], walls[ROOT], "lower")}
+    return configs, comparison
 
 
 def main(argv=None) -> int:
@@ -108,7 +149,8 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least three seeds for a median")
 
     env, workloads, comparison = None, {}, {}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-reports-") as reports:
         parent_tree = Path(tmp)
         parent_commit = _extract_head(parent_tree)
         src_lines = {"head": _src_lines(parent_tree), "working_tree": _src_lines(ROOT)}
@@ -140,6 +182,7 @@ def main(argv=None) -> int:
                 "parent_failed": [r["failed"] for r in parent_runs],
                 "metrics": _pair_changes(parent_runs, runs),
             }
+        configs, config_comparison = _measure_configs(parent_tree, seeds, Path(reports))
 
     snapshot = {
         "seeds": seeds,
@@ -147,8 +190,9 @@ def main(argv=None) -> int:
         "env": {key: env.get(key) for key in ENV_KEYS},
         "src_lines": src_lines,
         "workloads": workloads,
+        "configs": configs,
         "comparison": {"against": parent_commit, "order": "alternating per seed",
-                       "workloads": comparison},
+                       "workloads": comparison, "configs": config_comparison},
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")

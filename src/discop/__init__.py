@@ -2,6 +2,7 @@
 de Branges-Rovnyak kernels, and composition-operator bound checks on the
 unit disc."""
 
+from .config import symbol_from_spec
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -53,7 +54,6 @@ from .symbols import (
     Rotation,
     SelfMapCheck,
     Symbol,
-    symbol_from_spec,
     verify_self_map,
 )
 

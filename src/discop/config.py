@@ -1,8 +1,10 @@
-"""Run configuration: parsing, validation, and family expansion.
+"""Run configuration: the one reader of the JSON config format.
 
-A config is a single JSON object.  Complex numbers are written as
-``{"re": x, "im": y}`` (plain numbers are accepted as reals).  Symbols use
-the ``type`` field with variant-specific entries (see symbols module).
+A config is a single JSON object; every number in it must be finite.
+Complex numbers are written as ``{"re": x, "im": y}`` (plain numbers are
+accepted as reals).  Symbols use the ``type`` field with variant-specific
+entries (:func:`symbol_from_spec`).  Each command reads some of ``symbol``,
+``family`` and ``params``; it needs those and refuses the others.
 Function families are either an explicit list of coefficient lists, a
 shorthand string such as ``"monomials:1..8"``, or an object naming one of
 the shipped families:
@@ -14,13 +16,15 @@ the shipped families:
   decay).
 
 Parameters are validated before any computation starts: the general window
-when ``tau`` is given, the strict equal-weight window otherwise.
+when ``tau`` is given, the strict equal-weight window otherwise.  Every
+refusal is a ConfigError or ParamError whose message names its field.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -30,13 +34,18 @@ from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params, validate_params
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
-from .symbols import MobiusAuto, Symbol, _integer, symbol_from_spec
+from .symbols import FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation, Symbol
 
-COMMANDS = ("norm", "kernel-sup", "rank-check", "equivalence", "bound-check", "selfmap-check")
-
-_NEEDS_SYMBOL = {"kernel-sup", "rank-check", "bound-check", "selfmap-check"}
-_NEEDS_FAMILY = {"norm", "equivalence", "bound-check"}
-_NEEDS_PARAMS = {"norm", "equivalence", "bound-check"}
+#: the inputs each command reads; a config gives exactly these
+_INPUTS = {
+    "norm": {"family", "params"},
+    "kernel-sup": {"symbol"},
+    "rank-check": {"symbol"},
+    "equivalence": {"family", "params"},
+    "bound-check": {"symbol", "family", "params"},
+    "selfmap-check": {"symbol"},
+}
+COMMANDS = tuple(_INPUTS)
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,81 @@ class RunConfig:
     selfmap_tol: float = 1e-6
     stability_rel_tol: float = 0.02
     out_dir: str | None = None
+
+
+def _number(obj, where):
+    """obj as a finite float; strings, booleans, NaN and infinities are refused."""
+    try:
+        if not isinstance(obj, bool) and math.isfinite(obj):
+            return float(obj)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {obj!r}", field=where)
+
+
+def _integer(obj, where):
+    """obj as an int: 2 and 2.0 are read; 2.5, "2", true and non-finite values are not."""
+    if isinstance(obj, float) and obj.is_integer() or (
+        isinstance(obj, numbers.Integral) and not isinstance(obj, bool)
+    ):
+        return int(obj)
+    raise ConfigError(f"{where} must be an integer, got {obj!r}", field=where)
+
+
+def _complex_value(obj, where):
+    """A number, or an object {"re": x, "im": y} whose parts (default 0) are numbers."""
+    if not isinstance(obj, dict):
+        return complex(_number(obj, where))
+    _known(obj, {"re", "im"}, where)
+    return complex(_number(obj.get("re", 0.0), f"{where}.re"),
+                   _number(obj.get("im", 0.0), f"{where}.im"))
+
+
+def _complex_list(obj, where):
+    if not isinstance(obj, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {obj!r}", field=where)
+    return tuple(_complex_value(c, f"{where}[{i}]") for i, c in enumerate(obj))
+
+
+def _known(obj, keys, where):
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}", field=where)
+
+
+#: per symbol type: the class, then each field with its reader and default
+#: (None: required); the first field is the one the constructor checks
+_SYMBOLS = {
+    "identity": (Identity, {}),
+    "rotation": (Rotation, {"angle": (_number, None)}),
+    "mobius": (MobiusAuto, {"a": (_complex_value, None), "post_rotation": (_number, 0.0)}),
+    "monomial": (Monomial, {"k": (_integer, None)}),
+    "blaschke": (FiniteBlaschke, {"zeros": (_complex_list, None), "post_rotation": (_number, 0.0)}),
+    "poly": (Polynomial, {"coeffs": (_complex_list, None)}),
+}
+
+
+def symbol_from_spec(spec) -> Symbol:
+    """Build a symbol from its config form (field ``type`` selects the variant).
+
+    A missing, unreadable or out-of-range field is refused as ``symbol.<field>``.
+    """
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _SYMBOLS:
+        raise ConfigError(f"symbol must be an object whose type is one of {list(_SYMBOLS)}, "
+                          f"got type {kind!r}", field="symbol.type")
+    cls, fields = _SYMBOLS[kind]
+    _known(spec, {"type", *fields}, "symbol")
+    kwargs = {}
+    for key, (read, default) in fields.items():
+        if key not in spec and default is None:
+            raise ConfigError(f"symbol.{key}: a {kind!r} symbol needs it", field=f"symbol.{key}")
+        kwargs[key] = read(spec[key], f"symbol.{key}") if key in spec else default
+    try:
+        return cls(**kwargs)
+    except ParamError as exc:
+        where = f"symbol.{next(iter(fields))}"
+        raise ConfigError(f"{where}: {exc}", field=where) from None
 
 
 _FAMILY_RANGE = re.compile(r"^(?P<name>[a-z-]+):(?P<start>\d+)\.\.(?P<stop>\d+)$")
@@ -91,15 +175,18 @@ def _parse_family(obj):
         name = obj.get("name")
         if name is None:
             raise ConfigError("family object needs a 'name'", field="family.name")
+        # only the automorphism powers read a and order
+        extra = ("a", "order") if name == "mobius-monomials" else ()
+        _known(obj, {"name", "start", "stop", *extra}, "family")
         kwargs = {}
         if "a" in obj:
             kwargs["a"] = _complex_value(obj["a"], "family.a")
         if "order" in obj:
-            kwargs["order"] = _number(obj["order"], "family.order", _integer)
+            kwargs["order"] = _integer(obj["order"], "family.order")
         return _expand_named_family(
             name,
-            _number(obj.get("start", 1), "family.start", _integer),
-            _number(obj.get("stop", 8), "family.stop", _integer),
+            _integer(obj.get("start", 1), "family.start"),
+            _integer(obj.get("stop", 8), "family.stop"),
             **kwargs,
         )
     if isinstance(obj, list):
@@ -109,40 +196,17 @@ def _parse_family(obj):
                 raise ConfigError(
                     "explicit family entries need a 'coeffs' list", field=f"family[{i}]"
                 )
-            coeffs = tuple(
-                _complex_value(c, f"family[{i}].coeffs") for c in entry["coeffs"]
-            )
-            label = entry.get("label", f"f{i}")
-            out.append((str(label), TruncatedPowerSeries(coeffs)))
+            _known(entry, {"coeffs", "label"}, f"family[{i}]")
+            coeffs = _complex_list(entry["coeffs"], f"family[{i}].coeffs")
+            out.append((str(entry.get("label", f"f{i}")), TruncatedPowerSeries(coeffs)))
         return tuple(out)
     raise ConfigError("family must be a string, object, or list", field="family")
-
-
-def _number(obj, where, kind=float):
-    """obj through float or _integer; an unreadable value names its field."""
-    try:
-        return kind(obj)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is _integer else "a number"
-        raise ConfigError(f"{where} must be {noun}, got {obj!r}", field=where) from None
-
-
-def _complex_value(obj, where):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        try:
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(
-        f"complex values must be numbers or {{'re':..,'im':..}} objects", field=where
-    )
 
 
 def _parse_params(obj, command):
     if not isinstance(obj, dict):
         raise ConfigError("params must be an object", field="params")
+    _known(obj, {"sigma", "beta", "tau"}, "params")
     try:
         sigma = _number(obj["sigma"], "params.sigma")
         beta = _number(obj["beta"], "params.beta")
@@ -167,14 +231,10 @@ def _settings_from(obj, cls, where):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object", field=where)
     fields = cls.__dataclass_fields__
-    unknown = set(obj) - set(fields)
-    if unknown:
-        raise ConfigError(
-            f"unknown {where} fields: {sorted(unknown)}", field=where
-        )
+    _known(obj, fields, where)
     # every settings field is an int or a float
     values = {
-        key: _number(value, f"{where}.{key}", _integer if fields[key].type == "int" else float)
+        key: (_integer if fields[key].type == "int" else _number)(value, f"{where}.{key}")
         for key, value in obj.items()
     }
     try:
@@ -193,7 +253,7 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON: {exc}", field="<root>") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a single JSON object", field="<root>")
@@ -206,65 +266,50 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
             f"config command {cfg_command!r} conflicts with CLI command {command!r}",
             field="command",
         )
-    if cfg_command not in COMMANDS:
+    if not isinstance(cfg_command, str) or cfg_command not in _INPUTS:
         raise ConfigError(
             f"unknown command {cfg_command!r}; expected one of {COMMANDS}", field="command"
         )
 
-    known = {
-        "command", "symbol", "family", "params", "quadrature", "sup_search",
-        "selfmap_grid", "selfmap_tol", "stability_rel_tol", "seed", "out_dir",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}", field="<root>")
-
-    if cfg_command in _NEEDS_SYMBOL and "symbol" not in obj:
-        raise ConfigError(f"{cfg_command} needs a symbol", field="symbol")
-    symbol = None
-    if "symbol" in obj:
-        try:
-            symbol = symbol_from_spec(obj["symbol"])
-        except ParamError as exc:
-            raise ConfigError(str(exc), field="symbol") from None
+    _known(obj, {"command", "symbol", "family", "params", "quadrature", "sup_search",
+                 "selfmap_grid", "selfmap_tol", "stability_rel_tol", "out_dir"}, "config")
+    reads = _INPUTS[cfg_command]
+    for key in ("symbol", "family", "params"):
+        if (key in reads) != (key in obj):
+            raise ConfigError(f"{key}: {'required' if key in reads else 'not read'} by "
+                              f"{cfg_command}", field=key)
 
     family = ()
-    if cfg_command in _NEEDS_FAMILY:
-        if "family" not in obj:
-            raise ConfigError(f"{cfg_command} needs a family", field="family")
-        family = _parse_family(obj["family"])
+    if "family" in reads:
+        try:
+            family = _parse_family(obj["family"])
+        except ParamError as exc:
+            raise ConfigError(f"family: {exc}", field="family") from None
         if not family:
             raise ConfigError("family is empty", field="family")
 
-    params = None
-    if cfg_command in _NEEDS_PARAMS:
-        if "params" not in obj:
-            raise ConfigError(f"{cfg_command} needs params", field="params")
-        params = _parse_params(obj["params"], cfg_command)
-
-    sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
-    if "seed" not in (obj.get("sup_search") or {}):
-        sup_search = replace(sup_search, seed=_number(obj.get("seed", 0), "seed", _integer))
-
-    selfmap_grid = _number(obj.get("selfmap_grid", 1024), "selfmap_grid", _integer)
+    selfmap_grid = _integer(obj.get("selfmap_grid", 1024), "selfmap_grid")
     if selfmap_grid < 256:
         raise ConfigError(f"selfmap_grid must be >= 256, got {selfmap_grid}", field="selfmap_grid")
     tolerances = {key: _number(obj.get(key, default), key)
                   for key, default in (("selfmap_tol", 1e-6), ("stability_rel_tol", 0.02))}
     for key, tol in tolerances.items():
-        if not 0.0 < tol < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {tol!r}", field=key)
+        if not tol > 0.0:
+            raise ConfigError(f"{key} must be > 0, got {tol!r}", field=key)
+    out_dir = obj.get("out_dir")
+    if not isinstance(out_dir, (str, type(None))):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}", field="out_dir")
 
     return RunConfig(
         command=cfg_command,
-        symbol=symbol,
+        symbol=symbol_from_spec(obj["symbol"]) if "symbol" in reads else None,
         family=family,
-        params=params,
+        params=_parse_params(obj["params"], cfg_command) if "params" in reads else None,
         quadrature=_settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature"),
-        sup_search=sup_search,
+        sup_search=_settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search"),
         selfmap_grid=selfmap_grid,
         **tolerances,
-        out_dir=obj.get("out_dir"),
+        out_dir=out_dir,
     )
 
 

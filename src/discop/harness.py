@@ -27,13 +27,13 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConvergenceError, ParamError, SymbolError
-from .kernels import Verdict, estimate_sup
+from .kernels import estimate_sup
 from .norms import (
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     double_integral_functional,
 )
-from .operators import RankVerdict, bound_check, rank_sufficiency_check
+from .operators import bound_check, rank_sufficiency_check
 from .quadrature import _rel_change
 from .symbols import Polynomial, Symbol, verify_self_map
 
@@ -63,9 +63,8 @@ class RunOutcome:
     exit_code: int = 0
 
 
-def _worst(code_a: int, code_b: int) -> int:
-    order = {0: 0, 2: 1, 3: 2, 4: 3}
-    return code_a if order[code_a] >= order[code_b] else code_b
+#: exit code of each sup-search and rank verdict (the others give 0)
+VERDICT_CODES = {"Unbounded": 2, "Fail": 2, "Inconclusive": 3}
 
 
 def _verified(symbol: Symbol) -> Symbol:
@@ -118,9 +117,9 @@ def run(config: RunConfig) -> RunOutcome:
         if isinstance(exc, ConvergenceError):
             # the report keeps the failure's evidence; the CSV row stays as it was
             outcome.traces["error"] = {"partial": _plain(exc.partial), "trace": _plain(exc.trace)}
-            outcome.exit_code = _worst(outcome.exit_code, 3)
+            outcome.exit_code = max(outcome.exit_code, 3)
         else:
-            outcome.exit_code = _worst(outcome.exit_code, 2)
+            outcome.exit_code = max(outcome.exit_code, 2)
     return outcome
 
 
@@ -139,7 +138,7 @@ def _run_norm(config: RunConfig, outcome: RunOutcome):
         outcome.traces[label] = [list(t) for t in (quad.trace or ())]
         plot.append((float(idx + 1), quad.value_sq))
         if not agree:
-            outcome.exit_code = _worst(outcome.exit_code, 3)
+            outcome.exit_code = max(outcome.exit_code, 3)
     outcome.plots["norms"] = plot
 
 
@@ -157,10 +156,7 @@ def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
             config.sup_search.interior_rel_margin, verdict)
     outcome.traces["sup"] = [list(t) for t in est.trace]
     outcome.plots["sup_trace"] = [(float(g), float(v)) for g, v in est.trace]
-    if est.verdict is Verdict.UNBOUNDED:
-        outcome.exit_code = _worst(outcome.exit_code, 2)
-    elif est.verdict is Verdict.INCONCLUSIVE:
-        outcome.exit_code = _worst(outcome.exit_code, 3)
+    outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(verdict, 0))
 
 
 def _min_deriv_row(row, report):
@@ -184,10 +180,7 @@ def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     angles = 2.0 * np.pi * np.arange(256) / 256
     dmod = np.abs(symbol.deriv(np.exp(1j * angles)))
     outcome.plots["deriv_modulus"] = list(zip(angles.tolist(), dmod.tolist()))
-    if report.verdict is RankVerdict.FAIL:
-        outcome.exit_code = _worst(outcome.exit_code, 2)
-    elif report.verdict is RankVerdict.INCONCLUSIVE:
-        outcome.exit_code = _worst(outcome.exit_code, 3)
+    outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(report.verdict.value, 0))
 
 
 def _run_equivalence(config: RunConfig, outcome: RunOutcome):
@@ -209,7 +202,7 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
         outcome.traces[label] = [list(t) for t in functional.trace]
         plot.append((float(idx + 1), ratio))
         if not stable:
-            outcome.exit_code = _worst(outcome.exit_code, 3)
+            outcome.exit_code = max(outcome.exit_code, 3)
     band = max(ratios) / min(ratios)
     _rows(outcome, "equivalence", "family", 0.0)(
         "ratio_band", band, "quadrature/coefficient", "",
@@ -228,20 +221,15 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         sup.verdict.value,
     )
     outcome.traces["sup"] = [list(t) for t in sup.trace]
-    if sup.verdict is not Verdict.BOUNDED:
-        outcome.exit_code = _worst(
-            outcome.exit_code, 2 if sup.verdict is Verdict.UNBOUNDED else 3
-        )
+    outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(sup.verdict.value, 0))
+    if outcome.exit_code:
         return
 
     t0 = time.perf_counter()
     rank = rank_sufficiency_check(symbol)
     _min_deriv_row(_rows(outcome, "bound-check", label, _ms_since(t0)), rank)
-    if rank.verdict is RankVerdict.FAIL:
-        outcome.exit_code = _worst(outcome.exit_code, 2)
-        return
-    if rank.verdict is RankVerdict.INCONCLUSIVE:
-        outcome.exit_code = _worst(outcome.exit_code, 3)
+    outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(rank.verdict.value, 0))
+    if outcome.exit_code:
         return
 
     t0 = time.perf_counter()
@@ -269,7 +257,7 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         outcome.traces[result.label] = [list(t) for t in (result.comp_norm_sq.trace or ())]
         plot.append((float(idx + 1), result.ratio))
         if not (stable and clean):
-            outcome.exit_code = _worst(outcome.exit_code, 3)
+            outcome.exit_code = max(outcome.exit_code, 3)
     outcome.plots["bound_ratios"] = plot
 
 
@@ -282,7 +270,7 @@ def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
         _rows(outcome, "selfmap-check", label, _ms_since(t0))(
             "max_modulus", str(exc), "scan", config.selfmap_tol, "Fail"
         )
-        outcome.exit_code = _worst(outcome.exit_code, 2)
+        outcome.exit_code = max(outcome.exit_code, 2)
         return
     row = _rows(outcome, "selfmap-check", label, _ms_since(t0))
     row("max_modulus", check.max_modulus, "scan", config.selfmap_tol, "Pass")

@@ -105,8 +105,15 @@ class SupSearchSettings:
             raise ParamError(f"initial_grid must be >= 16, got {self.initial_grid}")
         if self.local_grid < 5 or self.local_grid % 2 == 0:
             raise ParamError(f"local_grid must be odd and >= 5, got {self.local_grid}")
-        if self.growth_factor <= 1.0:
+        if self.max_refinements < 1:
+            raise ParamError(f"max_refinements must be >= 1, got {self.max_refinements}")
+        if not self.growth_factor > 1.0:
             raise ParamError(f"growth_factor must exceed 1, got {self.growth_factor:g}")
+        for name in ("divergence_threshold", "stabilization_rel_tol", "contact_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ParamError(f"{name} must be > 0, got {getattr(self, name):g}")
+        if not self.interior_rel_margin >= 0.0:
+            raise ParamError(f"interior_rel_margin must be >= 0, got {self.interior_rel_margin:g}")
         if self.interior_samples < 1:
             raise ParamError(f"interior_samples must be >= 1, got {self.interior_samples}")
         if self.seed < 0:
@@ -120,16 +127,14 @@ DEFAULT_SUP_SETTINGS = SupSearchSettings()
 class SupEstimate:
     """Result of the supremum search.
 
-    ``value`` is +inf for an Unbounded verdict; ``boundary_max`` is the last
-    finite running maximum either way.  ``trace`` lists (effective grid size,
-    running max) per refinement and is nondecreasing in the max.
+    ``value`` is +inf for an Unbounded verdict.  ``trace`` lists (effective
+    grid size, running max) per refinement and is nondecreasing in the max.
     """
 
     value: float
     argmax: tuple  # (BoundaryPoint, BoundaryPoint)
     trace: tuple  # ((grid, running_max), ...)
     verdict: Verdict
-    boundary_max: float
     interior_max: float | None = None
 
 
@@ -249,7 +254,6 @@ def estimate_sup(symbol: Symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTI
         argmax=(BoundaryPoint(arg[0]), BoundaryPoint(arg[1])),
         trace=tuple(trace),
         verdict=verdict,
-        boundary_max=best,
         interior_max=interior_max,
     )
 

@@ -95,10 +95,6 @@ class LiftNormCheck:
     double_integral_sq: NormResult
     route_gap: float
 
-    @property
-    def values(self):
-        return (self.bergman_sq.value_sq, self.dirichlet_sq.value_sq)
-
 
 def lift_norm_check(
     f: TruncatedPowerSeries,

@@ -43,15 +43,13 @@ def _jacobi_01(sigma: float, n_rad: int):
 class DiscRule:
     """Quadrature rule for the probability measure dA_sigma on the disc.
 
-    ``radial_t``/``radial_w`` integrate against (1-t)^sigma dt on (0,1);
-    ``nodes``/``weights`` are the flattened disc nodes sqrt(t) e^{i theta}
-    with weights summing to 1 (the rule integrates the constant 1 exactly).
+    ``radial_w`` are the weights of the radial nodes t against (1-t)^sigma dt
+    on (0,1); ``nodes``/``weights`` are the flattened disc nodes
+    sqrt(t) e^{i theta} with weights summing to 1 (the rule integrates the
+    constant 1 exactly).
     """
 
-    sigma: float
-    radial_t: np.ndarray
     radial_w: np.ndarray
-    angular_count: int
     normalization: float
     nodes: np.ndarray
     weights: np.ndarray
@@ -71,15 +69,7 @@ def build_disc_rule(sigma: float, n_rad: int, n_ang: int) -> DiscRule:
     weights = (c * wt[:, None] / n_ang * np.ones(n_ang)[None, :]).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return DiscRule(
-        sigma=float(sigma),
-        radial_t=t,
-        radial_w=wt,
-        angular_count=int(n_ang),
-        normalization=c,
-        nodes=nodes,
-        weights=weights,
-    )
+    return DiscRule(radial_w=wt, normalization=c, nodes=nodes, weights=weights)
 
 
 def integrate_disc(rule: DiscRule, g):

@@ -32,10 +32,6 @@ class TruncatedPowerSeries:
             raise ParamError("a truncated power series needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
     def value(self, z):
         return eval_series(self, z)
 

@@ -8,12 +8,12 @@ boundary-contact machinery exploits.  Polynomial symbols must pass
 :func:`verify_self_map` before they may be evaluated.
 
 Evaluation is vectorized: ``value`` and ``deriv`` accept scalars or numpy
-arrays of points in the closed disc.
+arrays of points in the closed disc.  This module holds only the maps; their
+config form is read by :func:`discop.config.symbol_from_spec`.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,7 +95,7 @@ class MobiusAuto(Symbol):
 
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:
             raise ParamError(f"Mobius parameter must satisfy |a| < 1, got |a| = {abs(self.a):g}")
 
     def value(self, z):
@@ -148,7 +148,7 @@ class FiniteBlaschke(Symbol):
         zeros = tuple(complex(a) for a in self.zeros)
         if not zeros:
             raise ParamError("a Blaschke product needs at least one factor")
-        if any(abs(a) >= 1.0 for a in zeros):
+        if not all(abs(a) < 1.0 for a in zeros):
             raise ParamError("all Blaschke zeros must satisfy |a| < 1")
         object.__setattr__(self, "zeros", zeros)
 
@@ -232,8 +232,8 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
 
     By the maximum principle the boundary grid bounds the modulus on the whole
     disc.  Raises SymbolError (with the offending angle) when the scan exceeds
-    1 + tol; for polynomial symbols a passing scan returns a copy with the
-    verified flag set.
+    1 + tol or is NaN; for polynomial symbols a passing scan returns a copy
+    with the verified flag set.
     """
     if grid_size < 256:
         raise ParamError("self-map verification needs grid_size >= 256")
@@ -244,7 +244,7 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
     mods = np.abs(checked.value(np.exp(1j * theta)))
     worst = int(np.argmax(mods))
     max_mod = float(mods[worst])
-    if max_mod > 1.0 + tol:
+    if not max_mod <= 1.0 + tol:
         raise SymbolError(
             f"{symbol.describe()} is not a self-map: |phi| = {max_mod:.6g} at angle {theta[worst]:.6g}",
             angle=float(theta[worst]),
@@ -265,75 +265,3 @@ def contact_indicator(symbol: Symbol, angles, contact_tol: float = 1e-6):
         return np.ones(np.shape(np.asarray(angles)), dtype=bool)
     zeta = np.exp(1j * np.asarray(angles, dtype=float))
     return 1.0 - np.abs(symbol.value(zeta)) <= contact_tol
-
-
-# --- structured text form (used by the CLI config format) -----------------
-
-
-def _complex_from_obj(obj, where):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
-        try:
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError):
-            pass
-    raise ParamError(f"{where}: complex values must be numbers or {{'re':..,'im':..}} objects")
-
-
-def _integer(value):
-    """An integral number as int: 2 and 2.0 are read, 2.5, "2" and true are not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"not an integer: {value!r}")
-
-
-def _spec_field(spec, key, convert, default=None):
-    """spec[key] through convert; a missing or unreadable entry names symbol.<key>."""
-    where = f"symbol.{key}"
-    if key not in spec:
-        if default is None:
-            raise ParamError(f"{where}: a {spec['type']!r} symbol needs {key!r}")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError):
-        raise ParamError(f"{where}: cannot read {spec[key]!r}") from None
-
-
-def _complex_list(where):
-    return lambda values: tuple(_complex_from_obj(c, where) for c in values)
-
-
-#: per symbol type: the class, then each field with its reader and default
-#: (None: required); the first field is the one the constructor checks
-_SPECS = {
-    "identity": (Identity, {}),
-    "rotation": (Rotation, {"angle": (float, None)}),
-    "mobius": (MobiusAuto, {"a": (lambda a: _complex_from_obj(a, "symbol.a"), None),
-                            "post_rotation": (float, 0.0)}),
-    "monomial": (Monomial, {"k": (_integer, None)}),
-    "blaschke": (FiniteBlaschke, {"zeros": (_complex_list("symbol.zeros"), None),
-                                  "post_rotation": (float, 0.0)}),
-    "poly": (Polynomial, {"coeffs": (_complex_list("symbol.coeffs"), None)}),
-}
-
-
-def symbol_from_spec(spec: dict) -> Symbol:
-    """Build a symbol from its structured text form (field ``type`` selects the variant).
-
-    An unreadable or out-of-range field is named as ``symbol.<field>``.
-    """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ParamError("symbol spec must be an object with a 'type' field")
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in _SPECS:
-        raise ParamError(f"unknown symbol type {kind!r}")
-    cls, fields = _SPECS[kind]
-    kwargs = {key: _spec_field(spec, key, *reader) for key, reader in fields.items()}
-    try:
-        return cls(**kwargs)
-    except ParamError as exc:
-        raise ParamError(f"symbol.{next(iter(fields))}: {exc}") from None

@@ -1,6 +1,9 @@
 import copy
 import csv
+import functools
 import json
+import math
+import operator
 from dataclasses import asdict
 from pathlib import Path
 
@@ -66,7 +69,7 @@ def test_parse_expands_monomial_family():
     )
     assert len(cfg.family) == 8
     assert cfg.family[0][0] == "z^1"
-    assert cfg.family[-1][1].truncation_order == 8
+    assert len(cfg.family[-1][1].coeffs) - 1 == 8
 
 
 def test_parse_geometric_and_explicit_families():
@@ -574,12 +577,12 @@ def test_cli_command_must_match_config(tmp_path, capsys):
         (
             {"command": "norm", "family": "monomials:1..2", "params": {"sigma": 1.0, "beta": 0.5},
              "symbol": {"type": "mobius", "a": 2}},
-            "[E_CONFIG]: symbol.a",
+            "[E_CONFIG]: symbol: not read by norm",
         ),
         (
             {"command": "equivalence", "family": "monomials:1..2",
              "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}, "symbol": {"type": "rotation"}},
-            "[E_CONFIG]: symbol.angle",
+            "[E_CONFIG]: symbol: not read by equivalence",
         ),
         ({"command": "selfmap-check", "symbol": {"type": "identity"}, "selfmap_tol": 0}, "selfmap_tol"),
         (
@@ -597,6 +600,59 @@ def test_cli_command_must_match_config(tmp_path, capsys):
              "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}, "stability_rel_tol": float("nan")},
             "stability_rel_tol",
         ),
+        *[
+            (
+                {"command": "kernel-sup", "symbol": {"type": "mobius", "a": 0.5},
+                 "sup_search": {key: value}},
+                f"sup_search.{key}",
+            )
+            for key, value in (
+                ("stabilization_rel_tol", -1), ("interior_rel_margin", -1),
+                ("max_refinements", 0), ("contact_tol", -1), ("divergence_threshold", -5),
+            )
+        ],
+        (
+            {"command": "norm", "family": [{"coeffs": 5}], "params": {"sigma": 1.0, "beta": 0.5}},
+            "family[0].coeffs",
+        ),
+        (
+            {"command": "norm", "family": [{"coeffs": []}], "params": {"sigma": 1.0, "beta": 0.5}},
+            "[E_CONFIG]: family",
+        ),
+        (
+            {"command": "equivalence", "family": {"name": "mobius-monomials", "a": 1.5},
+             "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}},
+            "[E_CONFIG]: family",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "identity"}, "family": "monomials:1..2"},
+            "family: not read by kernel-sup",
+        ),
+        (
+            {"command": "rank-check", "symbol": {"type": "identity"},
+             "params": {"sigma": 1.0, "beta": 0.5}},
+            "params: not read by rank-check",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "mobius", "a": 0.5, "post_rotaton": 1.0}},
+            "unknown symbol fields: ['post_rotaton']",
+        ),
+        (
+            {"command": "kernel-sup", "symbol": {"type": "mobius", "a": {"re": 0.5, "i": 0.1}}},
+            "unknown symbol.a fields: ['i']",
+        ),
+        (
+            {"command": "norm", "family": {"name": "monomials", "a": 0.5},
+             "params": {"sigma": 1.0, "beta": 0.5}},
+            "unknown family fields: ['a']",
+        ),
+        (
+            {"command": "norm", "family": "monomials:1..2",
+             "params": {"sigma": 1.0, "beta": 0.5, "gamma": 1.0}},
+            "unknown params fields: ['gamma']",
+        ),
+        ({"command": "kernel-sup", "symbol": {"type": "rotation", "angle": 10**400}}, "symbol.angle"),
+        ({"command": "kernel-sup", "symbol": {"type": "identity"}, "out_dir": 5}, "out_dir"),
     ],
 )
 def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):
@@ -686,24 +742,25 @@ def _mutated(config, path, value):
     return out
 
 
-def test_config_sweep_never_escapes(tmp_path, capsys):
-    # every bundled config on a small rule, with every optional field present;
-    # each key path is then dropped or set to a value of the wrong type, sign
-    # or size, and the run must end in an exit code, never in an exception
-    sweeps = []
+def _sweep_configs():
+    """Every bundled config on a small rule, with every optional field present."""
     for path in BUNDLED:
         config = {k: v for k, v in json.loads(path.read_text()).items() if k != "out_dir"}
-        config.update(seed=5, selfmap_grid=256, selfmap_tol=1e-6, stability_rel_tol=0.02)
+        config.update(selfmap_grid=256, selfmap_tol=1e-6, stability_rel_tol=0.02)
         config["quadrature"] = asdict(
             QuadratureSettings(radial_count=8, angular_count=16, max_refinements=1)
         )
         config["sup_search"] = asdict(SupSearchSettings(initial_grid=64, local_grid=17))
-        sweeps.append((config, list(_key_paths(config))))
-        # without sup_search the top-level seed reaches the settings
-        sweeps.append(({k: v for k, v in config.items() if k != "sup_search"}, [("seed",)]))
+        yield config
+
+
+def test_config_sweep_never_escapes(tmp_path, capsys):
+    # each key path of each sweep config is dropped or set to a value of the
+    # wrong type, sign or size, and the run must end in an exit code, never in
+    # an exception
     variants = {}
-    for config, key_paths in sweeps:
-        for key_path in key_paths:
+    for config in _sweep_configs():
+        for key_path in _key_paths(config):
             for value in (None, "x", True, [], {}, -1, 0, 2.5, _DROP):
                 variant = _mutated(config, key_path, value)
                 variants[json.dumps(variant, sort_keys=True)] = (config["command"], variant)
@@ -720,6 +777,26 @@ def test_config_sweep_never_escapes(tmp_path, capsys):
             escaped.append(f"{text}: exit {code}")
     capsys.readouterr()
     assert not escaped, "\n".join(escaped[:10])
+
+
+def test_non_finite_numbers_are_refused_naming_their_field(tmp_path, capsys):
+    # every numeric entry of every sweep config set to NaN or an infinity
+    cases = [
+        (config, key_path, value)
+        for config in _sweep_configs()
+        for key_path in _key_paths(config)
+        if type(functools.reduce(operator.getitem, key_path, config)) in (int, float)
+        for value in (math.nan, math.inf, -math.inf)
+    ]
+    assert len(cases) == 522
+    wrong = []
+    for config, key_path, value in cases:
+        path = _write_config(tmp_path, "nonfinite.json", _mutated(config, key_path, value))
+        code = cli_main([config["command"], "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if code != 4 or key_path[0] not in err:
+            wrong.append(f"{key_path} = {value}: exit {code}, {err.strip()!r}")
+    assert not wrong, "\n".join(wrong[:10])
 
 
 def test_run_keeps_convergence_evidence_in_json(tmp_path):

@@ -90,12 +90,12 @@ def test_composition_linearity(scale, coeffs_f, coeffs_g):
 
 def test_lift_norm_check_constant():
     res = lift_norm_check(TruncatedPowerSeries([1.5]), 1.0, 0.5, settings=SMALL)
-    assert res.values == (0.0, 0.0)
+    assert (res.bergman_sq.value_sq, res.dirichlet_sq.value_sq) == (0.0, 0.0)
 
 
 def test_lift_norm_check_linear():
     res = lift_norm_check(TruncatedPowerSeries.monomial(1), 1.0, 0.5, settings=SMALL)
-    bergman, dirichlet = res.values
+    bergman, dirichlet = res.bergman_sq.value_sq, res.dirichlet_sq.value_sq
     assert dirichlet == pytest.approx(0.5)
     assert bergman == pytest.approx(V1_SERIES, rel=2e-3)
     assert res.route_gap <= 1e-8

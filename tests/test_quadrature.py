@@ -53,7 +53,7 @@ def test_moment_exactness(sigma, m):
 
 def test_radial_nodes_strictly_interior():
     rule = build_disc_rule(-0.5, 24, 8)
-    assert np.all(rule.radial_t > 0) and np.all(rule.radial_t < 1)
+    assert np.all(np.abs(rule.nodes) > 0) and np.all(np.abs(rule.nodes) < 1)
 
 
 def test_rejects_bad_weight_and_counts():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discop.errors import ParamError, SymbolError
+from discop.config import symbol_from_spec
+from discop.errors import ConfigError, ParamError, SymbolError
+from discop.kernels import SupSearchSettings
 from discop.symbols import (
     BoundaryPoint,
     FiniteBlaschke,
@@ -13,7 +15,6 @@ from discop.symbols import (
     Polynomial,
     Rotation,
     contact_indicator,
-    symbol_from_spec,
     verify_self_map,
 )
 from oracles import symbol_to_spec
@@ -79,6 +80,34 @@ def test_mobius_parameter_must_be_interior():
         MobiusAuto(1.0)
     with pytest.raises(ParamError):
         FiniteBlaschke((0.5, 1.2j))
+
+
+def test_guards_refuse_nan():
+    # a NaN compares False with every bound, so each guard must be written to fail on it
+    with pytest.raises(SymbolError):
+        verify_self_map(Polynomial([np.nan, 0.5]))
+    with pytest.raises(ParamError):
+        MobiusAuto(np.nan)
+    with pytest.raises(ParamError):
+        FiniteBlaschke((0.5, np.nan))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_refinements", 0),
+    ("interior_rel_margin", -1.0),
+    ("interior_rel_margin", np.nan),
+    ("stabilization_rel_tol", -1.0),
+    ("stabilization_rel_tol", 0.0),
+    ("stabilization_rel_tol", np.nan),
+    ("contact_tol", -1.0),
+    ("contact_tol", np.nan),
+    ("divergence_threshold", -5.0),
+    ("divergence_threshold", np.nan),
+    ("growth_factor", np.nan),
+])
+def test_sup_search_settings_guards_name_their_field(field, value):
+    with pytest.raises(ParamError, match=field):
+        SupSearchSettings(**{field: value})
 
 
 def test_monomial_degree_positive():
@@ -153,9 +182,9 @@ def test_spec_round_trip(symbol):
 
 
 def test_spec_rejects_unknown_type():
-    with pytest.raises(ParamError):
+    with pytest.raises(ConfigError):
         symbol_from_spec({"type": "exp"})
-    with pytest.raises(ParamError):
+    with pytest.raises(ConfigError):
         symbol_from_spec({"angle": 1.0})
 
 
