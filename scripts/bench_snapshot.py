@@ -32,11 +32,20 @@ above), and the snapshot records per config the median wall time of the
 process, the exit codes, the per-pair changes and the pairs won.  The
 snapshot also records the line total of ``src/discop/*.py`` (as
 ``wc -l`` counts it) for ``HEAD`` and for the working tree.
+
+Before any timing, each tree runs every experiment of every workload for
+seeds 1 and 2 once, in a fresh process, and hashes its outputs: the report
+rows without ``wall_ms``, the traces, the plot files' bytes and the exit
+code, or for a lift its values and traces.  The snapshot records the number
+of experiments, whether every hash is the parent's (``outputs_equal``) and
+the experiments whose hashes differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import io
 import json
 import os
@@ -51,9 +60,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import workloads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ENV_KEYS = ("nproc", "affinity_cpus", "cpu_model", "python", "numpy", "scipy", "blas")
+#: the workload seeds whose every experiment's outputs are compared
+OUTPUT_SEEDS = (1, 2)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int):
@@ -78,6 +90,66 @@ def _run_config(tree: Path, config: Path, out: Path):
         cwd=tree, env=env, capture_output=True, text=True,
     )
     return time.perf_counter() - t0, done.returncode
+
+
+def _outputs(exp, out: Path):
+    """The outputs of one experiment of the discop on ``sys.path``, as JSON data."""
+    from discop import config, harness, operators, quadrature, series
+
+    try:
+        if exp.lift is not None:
+            degree, coeff, sigma, beta, settings = exp.lift
+            result = operators.lift_norm_check(
+                series.TruncatedPowerSeries((0.0,) * degree + (coeff,)), sigma, beta,
+                settings=quadrature.QuadratureSettings(**settings))
+            norms = {name: [getattr(norm, key) for key in ("value_sq", "rel_error_estimate", "trace")]
+                     for name, norm in (("bergman", result.bergman_sq),
+                                        ("dirichlet", result.dirichlet_sq),
+                                        ("double_integral", result.double_integral_sq))}
+            return {"route_gap": result.route_gap, **norms}
+        paths = harness.emit_reports(harness.run(config.parse_config(exp.config)), out)
+    except Exception as exc:  # a failure is an output too
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+    report = json.loads(paths.pop("json").read_text())
+    for row in report["rows"]:
+        del row["wall_ms"]
+    with paths.pop("csv").open(newline="") as fh:
+        report["csv"] = [row[:-1] for row in csv.reader(fh)]  # wall_ms is the last column
+    report["plots"] = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for name, path in paths.items()}
+    return report
+
+
+def _experiment_digests(seeds) -> dict:
+    """Per experiment of every workload for ``seeds``: the sha256 of its outputs."""
+    digests = {}
+    with tempfile.TemporaryDirectory(prefix="bench-outputs-") as tmp:
+        for name in WORKLOADS:
+            for seed in seeds:
+                for exp in workloads.build(name, seed):
+                    out = Path(tmp) / str(len(digests))
+                    text = json.dumps(_outputs(exp, out), sort_keys=True)
+                    digests[f"{name}:{seed}:{exp.name}"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def _tree_digests(tree: Path) -> dict:
+    """_experiment_digests in a fresh process that imports discop from ``tree``."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
+            f"import bench_snapshot; "
+            f"print(json.dumps(bench_snapshot._experiment_digests({list(OUTPUT_SEEDS)!r})))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(done.stdout)
+
+
+def _compare_outputs(parent_tree: Path) -> dict:
+    """Whether every experiment of both trees has the same outputs."""
+    parent, current = _tree_digests(parent_tree), _tree_digests(ROOT)
+    differing = sorted(k for k in parent.keys() | current.keys() if parent.get(k) != current.get(k))
+    print(f"outputs: {len(current)} experiments, {len(differing)} differ", file=sys.stderr)
+    return {"seeds": list(OUTPUT_SEEDS), "experiments": len(current),
+            "outputs_equal": not differing, "differing": differing}
 
 
 def _extract_head(into: Path) -> str:
@@ -154,6 +226,7 @@ def main(argv=None) -> int:
         parent_tree = Path(tmp)
         parent_commit = _extract_head(parent_tree)
         src_lines = {"head": _src_lines(parent_tree), "working_tree": _src_lines(ROOT)}
+        outputs = _compare_outputs(parent_tree)
         for name in WORKLOADS:
             runs, parent_runs = [], []
             for i, seed in enumerate(seeds):
@@ -189,6 +262,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "env": {key: env.get(key) for key in ENV_KEYS},
         "src_lines": src_lines,
+        "outputs": outputs,
         "workloads": workloads,
         "configs": configs,
         "comparison": {"against": parent_commit, "order": "alternating per seed",

@@ -23,13 +23,11 @@ from .norms import (
     dirichlet_norm_sq_quad,
     double_integral_functional,
     validate_main_theorem_params,
-    validate_params,
 )
 from .operators import (
     BoundCheckReport,
     BoundCheckRow,
     ComposedFunction,
-    ContactSet,
     RankReport,
     RankVerdict,
     bound_check,
@@ -43,7 +41,7 @@ from .quadrature import (
     integrate_disc,
     refine_until,
 )
-from .series import TruncatedPowerSeries, coefficients_of, differentiate, eval_series
+from .series import TruncatedPowerSeries, coefficients_of, differentiate
 from .symbols import (
     BoundaryPoint,
     FiniteBlaschke,

@@ -3,8 +3,10 @@
 A config is a single JSON object; every number in it must be finite.
 Complex numbers are written as ``{"re": x, "im": y}`` (plain numbers are
 accepted as reals).  Symbols use the ``type`` field with variant-specific
-entries (:func:`symbol_from_spec`).  Each command reads some of ``symbol``,
-``family`` and ``params``; it needs those and refuses the others.
+entries (:func:`symbol_from_spec`).  Each command reads some of the
+top-level keys (``_INPUTS``) and refuses the others; of ``symbol``, ``family``
+and ``params`` it needs the ones it reads.  An input that sizes more bytes
+than the machine's physical memory is refused before anything is allocated.
 Function families are either an explicit list of coefficient lists, a
 shorthand string such as ``"monomials:1..8"``, or an object naming one of
 the shipped families:
@@ -31,19 +33,19 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ParamError
 from .kernels import SupSearchSettings
-from .norms import WeightParams, validate_main_theorem_params, validate_params
+from .norms import WeightParams, validate_main_theorem_params
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
 from .symbols import FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation, Symbol
 
-#: the inputs each command reads; a config gives exactly these
+#: the top-level keys each command reads besides command and out_dir
 _INPUTS = {
-    "norm": {"family", "params"},
-    "kernel-sup": {"symbol"},
+    "norm": {"family", "params", "quadrature"},
+    "kernel-sup": {"symbol", "sup_search"},
     "rank-check": {"symbol"},
-    "equivalence": {"family", "params"},
-    "bound-check": {"symbol", "family", "params"},
-    "selfmap-check": {"symbol"},
+    "equivalence": {"family", "params", "quadrature", "stability_rel_tol"},
+    "bound-check": {"symbol", "family", "params", "quadrature", "sup_search", "stability_rel_tol"},
+    "selfmap-check": {"symbol", "selfmap_grid", "selfmap_tol"},
 }
 COMMANDS = tuple(_INPUTS)
 
@@ -104,6 +106,20 @@ def _known(obj, keys, where):
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}", field=where)
 
 
+def _fits(need, where):
+    """Refuse an input that sizes ``need`` bytes, more than physical memory."""
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{where} sizes at least 2^{need.bit_length() - 1} bytes, "
+                          "above physical memory", field=where)
+
+
+def _spectrum_bytes(q: QuadratureSettings, refine=0):
+    """8 (m//2 + 1) n_rad^2: the kernel spectrum of the last ladder level."""
+    # 64 factor steps put any rule past any memory, so the power stops there
+    top = q.refinement_factor ** min(refine + q.max_refinements, 64)
+    return 8 * (q.angular_count * top // 2 + 1) * (q.radial_count * top) ** 2
+
+
 #: per symbol type: the class, then each field with its reader and default
 #: (None: required); the first field is the one the constructor checks
 _SYMBOLS = {
@@ -145,6 +161,13 @@ _FAMILY_RANGE = re.compile(r"^(?P<name>[a-z-]+):(?P<start>\d+)\.\.(?P<stop>\d+)$
 def _expand_named_family(name, start, stop, a=0.5 + 0.0j, order=48):
     if stop < start:
         raise ConfigError("family range is empty", field="family")
+    if name not in ("monomials", "geometric", "mobius-monomials"):
+        raise ConfigError(f"unknown family name {name!r}", field="family")
+    if name == "mobius-monomials":
+        _fits(16 * 8 * (order + 1), "family.order")  # >= 8 (order + 1) circle samples
+        _fits(16 * (stop - start + 1) * (order + 1), "family")
+    else:
+        _fits(16 * (stop + start + 2) * (stop - start + 1) // 2, "family")  # n + 1 per member
     if name == "monomials":
         return tuple(
             (f"z^{n}", TruncatedPowerSeries.monomial(n)) for n in range(start, stop + 1)
@@ -160,7 +183,6 @@ def _expand_named_family(name, start, stop, a=0.5 + 0.0j, order=48):
             series = coefficients_of(lambda z, n=n: mob.value(z) ** n, order)
             out.append((f"mobius({a:g})^{n}", series))
         return tuple(out)
-    raise ConfigError(f"unknown family name {name!r}", field="family")
 
 
 def _parse_family(obj):
@@ -221,7 +243,7 @@ def _parse_params(obj, command):
             )
         return validate_main_theorem_params(sigma, beta)
     if tau is not None:
-        return validate_params(sigma, tau, beta)
+        return WeightParams(sigma=sigma, tau=tau, beta=beta)
     return validate_main_theorem_params(sigma, beta)
 
 
@@ -271,13 +293,24 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
             f"unknown command {cfg_command!r}; expected one of {COMMANDS}", field="command"
         )
 
-    _known(obj, {"command", "symbol", "family", "params", "quadrature", "sup_search",
-                 "selfmap_grid", "selfmap_tol", "stability_rel_tol", "out_dir"}, "config")
-    reads = _INPUTS[cfg_command]
+    _known(obj, {"command", "out_dir"}.union(*_INPUTS.values()), "config")
+    reads = _INPUTS[cfg_command] | {"command", "out_dir"}
+    for key in obj:
+        if key not in reads:
+            raise ConfigError(f"{key}: not read by {cfg_command}", field=key)
     for key in ("symbol", "family", "params"):
-        if (key in reads) != (key in obj):
-            raise ConfigError(f"{key}: {'required' if key in reads else 'not read'} by "
-                              f"{cfg_command}", field=key)
+        if key in reads and key not in obj:
+            raise ConfigError(f"{key}: required by {cfg_command}", field=key)
+
+    # the sizes are checked before anything is built
+    quadrature = _settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature")
+    _fits(_spectrum_bytes(quadrature), "quadrature")
+    sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
+    _fits(16 * sup_search.initial_grid**2, "sup_search.initial_grid")
+    selfmap_grid = _integer(obj.get("selfmap_grid", 1024), "selfmap_grid")
+    if selfmap_grid < 256:
+        raise ConfigError(f"selfmap_grid must be >= 256, got {selfmap_grid}", field="selfmap_grid")
+    _fits(16 * selfmap_grid, "selfmap_grid")
 
     family = ()
     if "family" in reads:
@@ -288,9 +321,6 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         if not family:
             raise ConfigError("family is empty", field="family")
 
-    selfmap_grid = _integer(obj.get("selfmap_grid", 1024), "selfmap_grid")
-    if selfmap_grid < 256:
-        raise ConfigError(f"selfmap_grid must be >= 256, got {selfmap_grid}", field="selfmap_grid")
     tolerances = {key: _number(obj.get(key, default), key)
                   for key, default in (("selfmap_tol", 1e-6), ("stability_rel_tol", 0.02))}
     for key, tol in tolerances.items():
@@ -305,8 +335,8 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         symbol=symbol_from_spec(obj["symbol"]) if "symbol" in reads else None,
         family=family,
         params=_parse_params(obj["params"], cfg_command) if "params" in reads else None,
-        quadrature=_settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature"),
-        sup_search=_settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search"),
+        quadrature=quadrature,
+        sup_search=sup_search,
         selfmap_grid=selfmap_grid,
         **tolerances,
         out_dir=out_dir,
@@ -318,7 +348,7 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
 
     ``refine`` multiplies the base quadrature counts by refinement_factor^k
     (the sup-search grid is left alone; it refines itself), unless the last
-    level's kernel spectrum, 8 (m//2 + 1) n_rad^2 bytes, exceeds physical memory.
+    level's kernel spectrum then exceeds physical memory.
     """
     for flag, value in (("--refine", refine), ("--seed", seed)):
         if value is not None and value < 0:
@@ -327,13 +357,8 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
         config = replace(config, out_dir=str(out_dir))
     if refine:
         q = config.quadrature
+        _fits(_spectrum_bytes(q, int(refine)), "--refine")
         scale = q.refinement_factor**int(refine)
-        top = scale * q.refinement_factor**q.max_refinements
-        need = 8 * (q.angular_count * top // 2 + 1) * (q.radial_count * top) ** 2
-        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-            raise ConfigError(f"--refine {refine} needs a kernel spectrum of at least "
-                              f"2^{need.bit_length() - 1} bytes, above physical memory",
-                              field="--refine")
         config = replace(
             config,
             quadrature=replace(

@@ -33,7 +33,7 @@ from .norms import (
     dirichlet_norm_sq_quad,
     double_integral_functional,
 )
-from .operators import bound_check, rank_sufficiency_check
+from .operators import DERIV_TOL, VIOLATION_REL_TOL, bound_check, rank_sufficiency_check
 from .quadrature import _rel_change
 from .symbols import Polynomial, Symbol, verify_self_map
 
@@ -161,7 +161,7 @@ def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
 
 def _min_deriv_row(row, report):
     row("min_deriv_modulus", "" if report.min_deriv_modulus is None else report.min_deriv_modulus,
-        "scan", report.deriv_tol, report.verdict.value)
+        "scan", DERIV_TOL, report.verdict.value)
 
 
 def _run_rank_check(config: RunConfig, outcome: RunOutcome):
@@ -171,11 +171,11 @@ def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     row = _rows(outcome, "rank-check", symbol.describe(), _ms_since(t0))
     contact_desc = (
         "full-circle"
-        if report.contact.full_circle
-        else ";".join(f"{p.angle:.12g}" for p in report.contact.points) or "empty"
+        if report.full_circle
+        else ";".join(f"{p.angle:.12g}" for p in report.points) or "empty"
     )
     row("contact_set", contact_desc, "scan",
-        "exhaustive" if report.contact.exhaustive else "heuristic", report.verdict.value)
+        "exhaustive" if report.exhaustive else "heuristic", report.verdict.value)
     _min_deriv_row(row, report)
     angles = 2.0 * np.pi * np.arange(256) / 256
     dmod = np.abs(symbol.deriv(np.exp(1j * angles)))
@@ -250,7 +250,7 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         clean = result.violations == 0
         row("bound_ratio", result.ratio, "quadrature/coefficient", config.stability_rel_tol,
             "Pass" if (stable and clean) else "Fail")
-        row("pointwise_violations", result.violations, "quadrature", 1e-12,
+        row("pointwise_violations", result.violations, "quadrature", VIOLATION_REL_TOL,
             "Pass" if clean else "Fail")
         row("composed_pair_integral", result.eq_intermediate_sq.value_sq, "quadrature",
             result.eq_intermediate_sq.rel_error_estimate, "Pass")

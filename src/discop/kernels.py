@@ -53,9 +53,11 @@ def _neville_to_zero(hs, table):
 
 
 _DEFAULT_EXTRAP_H = 0.2 * 0.5 ** np.arange(9)
+#: largest last Neville correction, relative to max(1, |limit|), of a stable extrapolation
+_STAB_TOL = 1e-8
 
 
-def _diag_values_batch(symbol: Symbol, angles, stab_tol=1e-8):
+def _diag_values_batch(symbol: Symbol, angles):
     """Radial-limit extrapolation of k(r zeta, r zeta) for a batch of angles.
 
     Returns (values, ok) where ok flags angles whose extrapolation stabilized
@@ -70,7 +72,7 @@ def _diag_values_batch(symbol: Symbol, angles, stab_tol=1e-8):
     rows = (1.0 - np.abs(symbol.value(rs[:, None] * zeta)) ** 2) / (1.0 - rs * rs)[:, None]
     limit, corr = _neville_to_zero(hs, rows)
     scale = np.maximum(1.0, np.abs(limit))
-    ok = corr <= stab_tol * scale
+    ok = corr <= _STAB_TOL * scale
     exact_contact = 1.0 - np.abs(symbol.value(zeta)) <= 1e-12
     dmod = np.abs(symbol.deriv(zeta))
     confirmed = exact_contact & (np.abs(limit - dmod) <= 1e-6 * np.maximum(1.0, dmod))

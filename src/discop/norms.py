@@ -30,7 +30,6 @@ from scipy.special import betaln
 from ._numutil import powq
 from .errors import ConvergenceError, ParamError
 from .quadrature import (
-    DEFAULT_BIDISC_SETTINGS,
     DEFAULT_DISC_SETTINGS,
     QuadratureSettings,
     _jacobi_01,
@@ -47,8 +46,8 @@ _RADIAL_BLOCK = 16  # z radii per slice of the shared kernel spectrum (bounds th
 class WeightParams:
     """Admissible weight tuple (sigma, tau, beta).
 
-    Constructed through :func:`validate_params` or
-    :func:`validate_main_theorem_params`; construction enforces the window
+    Construction (directly, or through :func:`validate_main_theorem_params`)
+    enforces the window
 
         sigma > -1,  tau > -1,  max(sigma, tau)/2 - 1 < beta <= (sigma+tau)/2.
 
@@ -88,11 +87,6 @@ class WeightParams:
         return 2.0 * (self.beta + 2.0)
 
 
-def validate_params(sigma: float, tau: float, beta: float) -> WeightParams:
-    """Validate the general window; raises ParamError naming the violated inequality."""
-    return WeightParams(sigma=sigma, tau=tau, beta=beta)
-
-
 def validate_main_theorem_params(sigma: float, beta: float) -> WeightParams:
     """Validate the strict equal-weight window sigma > 0, sigma/2 - 1 < beta < sigma.
 
@@ -114,10 +108,9 @@ def validate_main_theorem_params(sigma: float, beta: float) -> WeightParams:
 
 @dataclass(frozen=True)
 class NormResult:
-    """A squared norm with its computation route and error estimate."""
+    """A squared norm with its error estimate."""
 
     value_sq: float
-    method: str  # "coefficient" | "quadrature"
     rel_error_estimate: float
     trace: tuple | None = None  # refinement trace for quadrature results
 
@@ -136,13 +129,13 @@ def dirichlet_norm_sq_coeff(s: TruncatedPowerSeries, p: float) -> NormResult:
         raise ParamError(f"radial weight exponent must be >= 0, got {p:g}")
     n = np.arange(1, len(s.coeffs))
     if len(n) == 0:
-        return NormResult(value_sq=0.0, method="coefficient", rel_error_estimate=0.0)
+        return NormResult(value_sq=0.0, rel_error_estimate=0.0)
     # coefficients over a power of two near the largest modulus: exact, no subnormal squares
     a = np.asarray(s.coeffs[1:], dtype=complex)
     e = int(np.frexp(np.max(np.abs(a)))[1])
     a = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
     value = float(np.ldexp(np.sum(n**2 * np.abs(a) ** 2 * np.exp(betaln(n, p + 1.0))), 2 * e))
-    return NormResult(value_sq=value, method="coefficient", rel_error_estimate=0.0)
+    return NormResult(value_sq=value, rel_error_estimate=0.0)
 
 
 def dirichlet_norm_sq_quad(
@@ -168,7 +161,6 @@ def dirichlet_norm_sq_quad(
     refined = refine_until(settings, functional)
     return NormResult(
         value_sq=max(float(np.real(refined.value)), 0.0),
-        method="quadrature",
         rel_error_estimate=refined.achieved_rel_change,
         trace=refined.trace,
     )
@@ -248,7 +240,7 @@ def pairwise_difference_integral(
 
 
 def double_integral_functional(
-    f, params: WeightParams, settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS
+    f, params: WeightParams, settings: QuadratureSettings = QuadratureSettings()
 ) -> NormResult:
     """Refinement-driven evaluation of the pairwise double-integral functional of f.value.
 
@@ -264,7 +256,6 @@ def double_integral_functional(
     refined = refine_until(settings, functional)
     return NormResult(
         value_sq=max(float(np.real(refined.value)), 0.0),
-        method="quadrature",
         rel_error_estimate=refined.achieved_rel_change,
         trace=refined.trace,
     )

@@ -43,18 +43,12 @@ from .errors import ConvergenceError, ParamError
 from .kernels import SupEstimate, Verdict, estimate_sup
 from .norms import (
     NormResult,
-    WeightParams,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     pairwise_difference_integral,
     validate_main_theorem_params,
 )
-from .quadrature import (
-    DEFAULT_BIDISC_SETTINGS,
-    QuadratureSettings,
-    _rel_change,
-    build_disc_rule,
-)
+from .quadrature import QuadratureSettings, _rel_change, build_disc_rule
 from .series import TruncatedPowerSeries
 from .symbols import BoundaryPoint, Identity, Polynomial, Symbol
 
@@ -63,6 +57,13 @@ TWO_PI = 2.0 * np.pi
 #: chain, and the block corner's zeroed part (the lower triangle and diagonal)
 _BLOCK, _TILE = 512, 16
 _LOWER = np.tri(_BLOCK, dtype=bool)
+#: largest relative gap between the lift's two routes on one rule
+_ROUTE_TOL = 1e-8
+#: rank scan: boundary grid size, the |phi| band counted as contact, and the
+#: |phi'| below which the angular derivative is numerically zero
+_SCAN_RESOLUTION, _CONTACT_TOL, DERIV_TOL = 4096, 1e-6, 1e-8
+#: relative slack of the pointwise majorization test (round-off of the powers)
+VIOLATION_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,13 @@ def lift_norm_check(
     f: TruncatedPowerSeries,
     sigma: float,
     beta: float,
-    settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS,
-    route_tol: float = 1e-8,
+    settings: QuadratureSettings = QuadratureSettings(),
 ) -> LiftNormCheck:
     """Check that lifting into the bidisc Bergman space matches the functional.
 
     Both integrals are driven over one shared refinement ladder (stopping on
     the pairwise functional's change) so they end on the same rule; their
-    relative gap must stay within route_tol.
+    relative gap must stay within 1e-8.
     """
     params = validate_main_theorem_params(sigma, beta)
     q = params.q_exponent
@@ -121,7 +121,7 @@ def lift_norm_check(
     identity = Identity()
 
     def l_eval(n_rad, n_ang):
-        (value,), _, _, _ = _composed_pair_sums([f.value], identity, sigma, q, n_rad, n_ang)
+        (value,), _, _ = _composed_pair_sums([f.value], identity, sigma, q, n_rad, n_ang)
         return value
 
     n_rad, n_ang = settings.radial_count, settings.angular_count
@@ -146,23 +146,21 @@ def lift_norm_check(
         )
 
     route_gap = _rel_change(l_val, d_val)
-    if route_gap > route_tol:
+    if route_gap > _ROUTE_TOL:
         raise ConvergenceError(
-            f"lift route identity violated: relative gap {route_gap:.3e} > {route_tol:g}",
+            f"lift route identity violated: relative gap {route_gap:.3e} > {_ROUTE_TOL:g}",
             partial=(l_val, d_val),
         )
     dirichlet = dirichlet_norm_sq_coeff(f, params.p_dirichlet)
     return LiftNormCheck(
         bergman_sq=NormResult(
             value_sq=max(l_val, 0.0),
-            method="quadrature",
             rel_error_estimate=change,
             trace=tuple(l_trace),
         ),
         dirichlet_sq=dirichlet,
         double_integral_sq=NormResult(
             value_sq=max(d_val, 0.0),
-            method="quadrature",
             rel_error_estimate=change,
             trace=tuple(d_trace),
         ),
@@ -181,26 +179,21 @@ class RankVerdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ContactSet:
-    """Boundary points where |phi| reaches 1 (within contact_tol).
+class RankReport:
+    """The contact set, the minimum of |phi'| over it, and the verdict.
 
-    For structurally unimodular symbols the whole circle is reported
-    symbolically through ``full_circle`` rather than as a point list.
-    ``exhaustive`` records whether the scan resolution was fine enough to
-    bracket every modulus extremum of the symbol.
+    The contact set is where |phi| reaches 1 (within 1e-6).  For structurally
+    unimodular symbols the whole circle is reported symbolically through
+    ``full_circle`` rather than as a point list.  ``exhaustive`` records
+    whether the scan resolution was fine enough to bracket every modulus
+    extremum of the symbol.
     """
 
     full_circle: bool
     points: tuple  # BoundaryPoint entries (empty when full_circle)
     exhaustive: bool
-
-
-@dataclass(frozen=True)
-class RankReport:
-    contact: ContactSet
     min_deriv_modulus: float | None
     verdict: RankVerdict
-    deriv_tol: float
 
 
 def _refine_min_deriv(symbol: Symbol, theta0: float, half_width: float) -> float:
@@ -236,29 +229,22 @@ def _bisect_modulus_extremum(symbol: Symbol, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def rank_sufficiency_check(
-    symbol: Symbol,
-    scan_resolution: int = 4096,
-    contact_tol: float = 1e-6,
-    deriv_tol: float = 1e-8,
-) -> RankReport:
+def rank_sufficiency_check(symbol: Symbol) -> RankReport:
     """Decide invertibility of the diagonal bidisc symbol on its contact set.
 
-    Scans the circle for contact points (local maxima of |phi| within
-    contact_tol of 1, polished by bisection on the angle), then takes the
-    minimum of |phi'| over them.  Below deriv_tol the predicted nonzero
+    Scans 4096 boundary angles for contact points (local maxima of |phi|
+    within 1e-6 of 1, polished by bisection on the angle), then takes the
+    minimum of |phi'| over them.  Below DERIV_TOL the predicted nonzero
     angular derivative is numerically indistinguishable from zero, so the
     verdict is Fail.
     """
-    if scan_resolution < 256:
-        raise ParamError("scan resolution must be >= 256")
-    theta = TWO_PI * np.arange(scan_resolution) / scan_resolution
+    theta = TWO_PI * np.arange(_SCAN_RESOLUTION) / _SCAN_RESOLUTION
     zeta = np.exp(1j * theta)
     phi, dphi = symbol.value(zeta), symbol.deriv(zeta)
     mods, dmod = np.abs(phi), np.abs(dphi)
     degree = len(symbol.coeffs) - 1 if isinstance(symbol, Polynomial) else None
-    exhaustive = degree is not None and scan_resolution >= 32 * (2 * degree + 1)
-    touched = symbol.boundary_unimodular or not float(np.max(mods)) < 1.0 - contact_tol
+    exhaustive = degree is not None and _SCAN_RESOLUTION >= 32 * (2 * degree + 1)
+    touched = symbol.boundary_unimodular or not float(np.max(mods)) < 1.0 - _CONTACT_TOL
     # the whole circle is contact by construction, or in effect (e.g. a
     # rotation written as a polynomial)
     full_circle = symbol.boundary_unimodular or (
@@ -268,27 +254,25 @@ def rank_sufficiency_check(
         exhaustive, k = True, int(np.argmin(dmod))
         min_deriv = float(dmod[k])
         if symbol.boundary_unimodular:
-            refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / scan_resolution)
+            refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / _SCAN_RESOLUTION)
             min_deriv = min(min_deriv, refined)
     elif touched:
         # bracket local maxima of |phi|^2 through sign changes of its angular slope
         slope = 2.0 * np.real(np.conj(phi) * 1j * zeta * dphi)
         for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
-            peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / scan_resolution)
-            if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= contact_tol:
+            peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / _SCAN_RESOLUTION)
+            if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= _CONTACT_TOL:
                 points.append(BoundaryPoint(peak))
         if points:
             min_deriv = min(float(np.abs(symbol.deriv(p.to_complex()))) for p in points)
         else:
             exhaustive = False  # the grid touched the contact band, no bracket resolved it
     if min_deriv is not None:
-        verdict = RankVerdict.PASS if min_deriv > deriv_tol else RankVerdict.FAIL
+        verdict = RankVerdict.PASS if min_deriv > DERIV_TOL else RankVerdict.FAIL
     else:
         verdict = RankVerdict.INCONCLUSIVE if touched else RankVerdict.VACUOUS
-    return RankReport(
-        contact=ContactSet(full_circle=full_circle, points=tuple(points), exhaustive=exhaustive),
-        min_deriv_modulus=min_deriv, verdict=verdict, deriv_tol=deriv_tol,
-    )
+    return RankReport(full_circle=full_circle, points=tuple(points), exhaustive=exhaustive,
+                      min_deriv_modulus=min_deriv, verdict=verdict)
 
 
 # --- bound pipeline ---------------------------------------------------------
@@ -307,19 +291,16 @@ class BoundCheckRow:
 
     label: str
     comp_norm_sq: NormResult
-    f_norm_sq: NormResult
     eq_intermediate_sq: NormResult
     ratio: float
     violations: int
     nodes_checked: int
-    max_node_kernel: float
 
 
 @dataclass(frozen=True)
 class BoundCheckReport:
     rows: tuple
     sup: SupEstimate
-    params: WeightParams
     sup_power_q: float
 
 
@@ -329,7 +310,7 @@ def _kernel_sq_factors(u):
     return np.stack([one, x, y, s], axis=1), np.stack([one, -2.0 * x, -2.0 * y, s])
 
 
-def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, rel_tol=1e-12):
+def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     """One rule-level pass of the composed pairwise integral for a family.
 
     Computes, for every F = f(phi) with f in the family,
@@ -355,13 +336,12 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
 
     With ``sup_q`` given, the same pass counts for every member the node pairs
     violating the majorization  plain-kernel integrand <= sup_q * composed
-    integrand  beyond ``rel_tol`` (mirrored to ordered pairs), and tracks the
-    largest |kernel| over the node pairs.  Where F_i != F_j, f cancels from
-    the test, which then reads comp_sq/plain_sq > (sup_q (1 + rel_tol))^(2/q)
-    for the squared kernel moduli; the exact per-member predicate is
-    evaluated only on the pairs whose ratio comes within round-off of that
-    threshold.  Returns (values, violations, pairs, max_kernel); the check
-    fields are None when sup_q is None.
+    integrand  beyond VIOLATION_REL_TOL (mirrored to ordered pairs).  Where
+    F_i != F_j, f cancels from the test, which then reads
+    comp_sq/plain_sq > (sup_q (1 + VIOLATION_REL_TOL))^(2/q) for the squared
+    kernel moduli; the exact per-member predicate is evaluated only on the
+    pairs whose ratio comes within round-off of that threshold.  Returns
+    (values, violations, pairs); violations is None when sup_q is None.
     """
     rule = build_disc_rule(sigma, n_rad, n_ang)
     nodes, weights = rule.nodes, rule.weights
@@ -380,11 +360,11 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
         plain_left, plain_right = _kernel_sq_factors(nodes)
         # the exact predicate runs on the pairs above this threshold only; its
         # slack covers the round-off of the powers and the predicate's divisions
-        threshold = (sup_q * (1.0 + rel_tol)) ** (2.0 / q) * (1.0 - 1e-12)
+        threshold = (sup_q * (1.0 + VIOLATION_REL_TOL)) ** (2.0 / q) * (1.0 - 1e-12)
     block = np.empty(min(_BLOCK, total) * total)
     plain_block = np.empty(block.size if sup_q is not None else 0)
     tile = np.empty(2 * _TILE * total)
-    parts, violations, max_ratio_sq = [], np.zeros(count, dtype=int), 0.0
+    parts, violations = [], np.zeros(count, dtype=int)
     for lo in range(0, total, _BLOCK):
         hi, cols = min(lo + _BLOCK, total), total - lo
         rows = hi - lo
@@ -400,9 +380,7 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
             # part below it (within these rows, columns :s) are zeroed
             lower = _LOWER[t:s, :s]
             if sup_q is not None:
-                ratio_sq = np.divide(comp_sq, plain[t:s], out=work[0])
-                max_ratio_sq = max(max_ratio_sq, float(np.max(ratio_sq)))
-                candidates = ratio_sq > threshold
+                candidates = np.divide(comp_sq, plain[t:s], out=work[0]) > threshold
                 candidates[:, :s][lower] = False
                 if candidates.any():
                     i, j = np.nonzero(candidates)
@@ -410,7 +388,7 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
                     cand_comp = powq(kernel[i, j], q)[:, None]
                     cand_plain = powq(plain[i, j], q)[:, None]
                     num = abs_sq(f_vals[lo + i] - f_vals[lo + j])
-                    bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + rel_tol)
+                    bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + VIOLATION_REL_TOL)
                     violations += 2 * np.count_nonzero(bad, axis=0)
             np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
             comp_sq[:, :s][lower] = 0.0
@@ -420,9 +398,7 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None, r
         term = v_sq[lo:hi] * p[:, :1] + p[:, 1 : 1 + count] - 2.0 * cross
         parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
     values = [2.0 * float(x) for x in np.sum(np.asarray(parts), axis=0)]
-    if sup_q is None:
-        return values, None, total**2, None
-    return values, violations.tolist(), total**2, float(np.sqrt(max_ratio_sq))
+    return values, None if sup_q is None else violations.tolist(), total**2
 
 
 def bound_check(
@@ -430,7 +406,7 @@ def bound_check(
     symbol: Symbol,
     sigma: float,
     beta: float,
-    settings: QuadratureSettings = DEFAULT_BIDISC_SETTINGS,
+    settings: QuadratureSettings = QuadratureSettings(),
     sup: SupEstimate | None = None,
     labels=None,
 ) -> BoundCheckReport:
@@ -466,20 +442,19 @@ def bound_check(
         f_norm = dirichlet_norm_sq_coeff(f, p)
         if f_norm.value_sq <= 0.0:
             raise ParamError(f"family member {label} is constant; ratio undefined")
-        norms.append((comp_norm, f_norm, comp_norm.value_sq / (sup_q * f_norm.value_sq)))
+        norms.append((comp_norm, comp_norm.value_sq / (sup_q * f_norm.value_sq)))
     value_fns = [f.value for f in family]
-    eq_coarse, _, _, _ = _composed_pair_sums(value_fns, symbol, sigma, q, coarse_rad, coarse_ang)
-    eq_base, violations, checked, max_kernel = _composed_pair_sums(
+    eq_coarse, _, _ = _composed_pair_sums(value_fns, symbol, sigma, q, coarse_rad, coarse_ang)
+    eq_base, violations, checked = _composed_pair_sums(
         value_fns, symbol, sigma, q,
         settings.radial_count, settings.angular_count, sup_q=sup_q,
     )
     rows = []
-    for label, (comp_norm, f_norm, ratio), coarse, base, bad in zip(
+    for label, (comp_norm, ratio), coarse, base, bad in zip(
         labels, norms, eq_coarse, eq_base, violations
     ):
         eq6 = NormResult(
             value_sq=max(base, 0.0),
-            method="quadrature",
             rel_error_estimate=_rel_change(base, coarse),
             trace=(
                 (coarse_rad, coarse_ang, coarse),
@@ -490,12 +465,10 @@ def bound_check(
             BoundCheckRow(
                 label=label,
                 comp_norm_sq=comp_norm,
-                f_norm_sq=f_norm,
                 eq_intermediate_sq=eq6,
                 ratio=ratio,
                 violations=bad,
                 nodes_checked=checked,
-                max_node_kernel=max_kernel,
             )
         )
-    return BoundCheckReport(rows=tuple(rows), sup=sup, params=params, sup_power_q=sup_q)
+    return BoundCheckReport(rows=tuple(rows), sup=sup, sup_power_q=sup_q)

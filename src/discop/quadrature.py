@@ -112,10 +112,6 @@ class QuadratureSettings:
 #: so the driver can insist on near-exactness
 DEFAULT_DISC_SETTINGS = QuadratureSettings(target_rel_tol=1e-9, max_refinements=2)
 
-#: defaults for bidisc pair integrals with near-diagonal kernels, whose
-#: refinement gains per step are percent-scale
-DEFAULT_BIDISC_SETTINGS = QuadratureSettings(target_rel_tol=0.05, max_refinements=2)
-
 
 @dataclass(frozen=True)
 class RefinedValue:

@@ -221,10 +221,7 @@ class SelfMapCheck:
 
     symbol: Symbol
     max_modulus: float
-    worst_angle: BoundaryPoint
     boundary_contact: bool
-    grid_size: int
-    tol: float
 
 
 def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) -> SelfMapCheck:
@@ -250,12 +247,7 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
             angle=float(theta[worst]),
         )
     return SelfMapCheck(
-        symbol=checked,
-        max_modulus=max_mod,
-        worst_angle=BoundaryPoint(theta[worst]),
-        boundary_contact=bool(max_mod >= 1.0 - tol),
-        grid_size=grid_size,
-        tol=tol,
+        symbol=checked, max_modulus=max_mod, boundary_contact=bool(max_mod >= 1.0 - tol)
     )
 
 

@@ -35,7 +35,7 @@ from discop.norms import (
     dirichlet_norm_sq_quad,
     double_integral_functional,
 )
-from discop.quadrature import DEFAULT_BIDISC_SETTINGS
+from discop.quadrature import QuadratureSettings
 from discop.series import TruncatedPowerSeries
 from discop.symbols import (
     FiniteBlaschke,
@@ -162,7 +162,7 @@ def pointwise_kernel_identity_check(symbol, sample_count=10000, seed=0):
     return float(np.max(np.abs(np.abs(num) - np.abs(k) * np.abs(den))))
 
 
-def equivalence_ratio(f, params, settings=DEFAULT_BIDISC_SETTINGS):
+def equivalence_ratio(f, params, settings=QuadratureSettings()):
     """Ratio of the pairwise functional to the squared Dirichlet-type norm.
 
     The denominator uses the exact coefficient route whenever f is a series

@@ -16,7 +16,7 @@ from discop.norms import (
     dirichlet_norm_sq_quad,
     double_integral_functional,
     validate_main_theorem_params,
-    validate_params,
+    WeightParams,
 )
 from discop.operators import RankVerdict, bound_check, lift_norm_check, rank_sufficiency_check
 from discop.series import TruncatedPowerSeries
@@ -84,7 +84,7 @@ def test_criterion_3_divergence_detection():
 
 
 def test_criterion_4_equivalence_band():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     t0 = time.perf_counter()
     ratios = []
     moves = []
@@ -132,9 +132,10 @@ def test_criterion_5_bound_pipeline():
 
     ratios = [row.ratio for row in report.rows]
     prev_ratios = []
-    for row in report.rows:
+    for f, row in zip(family, report.rows):
         prev_val = float(np.real(row.comp_norm_sq.trace[-2][2]))
-        prev_ratios.append(prev_val / (report.sup_power_q * row.f_norm_sq.value_sq))
+        f_norm_sq = dirichlet_norm_sq_coeff(f, params.p_dirichlet).value_sq
+        prev_ratios.append(prev_val / (report.sup_power_q * f_norm_sq))
     max_move = abs(max(ratios) - max(prev_ratios)) / max(max(ratios), max(prev_ratios))
     ok_d = all(np.isfinite(r) and r > 0 for r in ratios) and max_move < 0.02
 
@@ -181,16 +182,16 @@ def test_criterion_7_pointwise_kernel_identity():
 def test_criterion_8_parameter_gate():
     outcomes = []
 
-    p = validate_params(1.0, 1.0, 0.5)
+    p = WeightParams(1.0, 1.0, 0.5)
     outcomes.append(p.p_dirichlet == pytest.approx(1.0) and p.q_exponent == pytest.approx(5.0))
 
     try:
-        validate_params(1.0, 1.0, 2.0)
+        WeightParams(1.0, 1.0, 2.0)
         outcomes.append(False)
     except ParamError as exc:
         outcomes.append(exc.code == "E_PARAM" and "beta" in str(exc))
 
-    p = validate_params(0.0, 0.0, -0.9)
+    p = WeightParams(0.0, 0.0, -0.9)
     outcomes.append(p.p_dirichlet == pytest.approx(1.8))
 
     p = validate_main_theorem_params(1.0, 0.5)

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,6 +29,33 @@ def _fast_sup():
     return {"initial_grid": 64, "local_grid": 17, "max_refinements": 10}
 
 
+#: the optional top-level fields, each with a small value
+OPTIONAL = {
+    "quadrature": asdict(QuadratureSettings(radial_count=8, angular_count=16, max_refinements=1)),
+    "sup_search": asdict(SupSearchSettings(initial_grid=64, local_grid=17)),
+    "selfmap_grid": 256,
+    "selfmap_tol": 1e-6,
+    "stability_rel_tol": 0.02,
+}
+#: the optional fields each command reads
+READS = {
+    "norm": ("quadrature",),
+    "kernel-sup": ("sup_search",),
+    "rank-check": (),
+    "equivalence": ("quadrature", "stability_rel_tol"),
+    "bound-check": ("quadrature", "sup_search", "stability_rel_tol"),
+    "selfmap-check": ("selfmap_grid", "selfmap_tol"),
+}
+
+
+def _sweep_configs():
+    """Every bundled config on a small rule, with every optional field its command reads."""
+    for path in BUNDLED:
+        config = {k: v for k, v in json.loads(path.read_text()).items() if k != "out_dir"}
+        config.update({key: copy.deepcopy(OPTIONAL[key]) for key in READS[config["command"]]})
+        yield config
+
+
 # --- parsing -----------------------------------------------------------------
 
 
@@ -41,11 +69,19 @@ def test_parse_minimal_kernel_sup():
             "command": "kernel-sup",
             "symbol": {"type": "monomial", "k": 2.0},
             "sup_search": {"initial_grid": 64.0},
-            "quadrature": {"radial_count": 16.0},
         }
     )
     assert type(cfg.symbol.k) is int and cfg.symbol.k == 2
-    assert cfg.sup_search.initial_grid == 64 and cfg.quadrature.radial_count == 16
+    assert cfg.sup_search.initial_grid == 64
+    cfg = parse_config(
+        {
+            "command": "norm",
+            "family": "monomials:1..2",
+            "params": {"sigma": 1.0, "beta": 0.5},
+            "quadrature": {"radial_count": 16.0},
+        }
+    )
+    assert cfg.quadrature.radial_count == 16
 
 
 def test_parse_rejects_beta_above_window():
@@ -653,6 +689,12 @@ def test_cli_command_must_match_config(tmp_path, capsys):
         ),
         ({"command": "kernel-sup", "symbol": {"type": "rotation", "angle": 10**400}}, "symbol.angle"),
         ({"command": "kernel-sup", "symbol": {"type": "identity"}, "out_dir": 5}, "out_dir"),
+        *[
+            ({**config, key: OPTIONAL[key]}, f"[E_CONFIG]: {key}: not read by {config['command']}")
+            for config in {c["command"]: c for c in _sweep_configs()}.values()
+            for key in OPTIONAL
+            if key not in READS[config["command"]]
+        ],
     ],
 )
 def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, payload, field):
@@ -701,6 +743,64 @@ def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
             assert apply_overrides(cfg, refine=1).quadrature.radial_count == 16
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (
+            {"command": "equivalence", "family": "monomials:1..2",
+             "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
+             "quadrature": {"radial_count": 10**6, "angular_count": 10**6, "max_refinements": 1}},
+            "quadrature",
+        ),
+        (
+            {"command": "norm", "family": "monomials:1..2", "params": {"sigma": 1.0, "beta": 0.5},
+             "quadrature": {"max_refinements": 10**12}},
+            "quadrature",
+        ),
+        ({"command": "selfmap-check", "symbol": {"type": "identity"}, "selfmap_grid": 10**18},
+         "selfmap_grid"),
+        ({"command": "kernel-sup", "symbol": {"type": "identity"},
+          "sup_search": {"initial_grid": 10**9}}, "sup_search.initial_grid"),
+        ({"command": "norm", "family": "monomials:1..1000000000",
+          "params": {"sigma": 1.0, "beta": 0.5}}, "family"),
+        ({"command": "equivalence", "family": {"name": "mobius-monomials", "order": 10**17},
+          "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}}, "family.order"),
+        ({"command": "equivalence", "family": {"name": "mobius-monomials", "stop": 10**17},
+          "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}}, "family"),
+    ],
+)
+def test_cli_refuses_sizes_beyond_physical_memory_before_allocating(
+    tmp_path, capsys, payload, field
+):
+    path = _write_config(tmp_path, "huge.json", payload)
+    tracemalloc.start()
+    try:
+        code = cli_main([payload["command"], "--config", path, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert f"{field} sizes at least" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_config_quadrature_bound_is_the_last_level_kernel_spectrum(monkeypatch):
+    config = {
+        "command": "norm",
+        "family": "monomials:1..2",
+        "params": {"sigma": 1.0, "beta": 0.5},
+        "quadrature": {"radial_count": 64, "angular_count": 256, "max_refinements": 2},
+    }
+    # two ladder steps: the last level is 256 x 1024, far above the other sizes
+    need = 8 * (1024 // 2 + 1) * 256**2
+    monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
+    assert parse_config(config).quadrature.radial_count == 64
+    monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert info.value.field == "quadrature"
+
+
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: path.stem)
 def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
     command = json.loads(path.read_text())["command"]
@@ -742,18 +842,6 @@ def _mutated(config, path, value):
     return out
 
 
-def _sweep_configs():
-    """Every bundled config on a small rule, with every optional field present."""
-    for path in BUNDLED:
-        config = {k: v for k, v in json.loads(path.read_text()).items() if k != "out_dir"}
-        config.update(selfmap_grid=256, selfmap_tol=1e-6, stability_rel_tol=0.02)
-        config["quadrature"] = asdict(
-            QuadratureSettings(radial_count=8, angular_count=16, max_refinements=1)
-        )
-        config["sup_search"] = asdict(SupSearchSettings(initial_grid=64, local_grid=17))
-        yield config
-
-
 def test_config_sweep_never_escapes(tmp_path, capsys):
     # each key path of each sweep config is dropped or set to a value of the
     # wrong type, sign or size, and the run must end in an exit code, never in
@@ -788,7 +876,7 @@ def test_non_finite_numbers_are_refused_naming_their_field(tmp_path, capsys):
         if type(functools.reduce(operator.getitem, key_path, config)) in (int, float)
         for value in (math.nan, math.inf, -math.inf)
     ]
-    assert len(cases) == 522
+    assert len(cases) == 255
     wrong = []
     for config, key_path, value in cases:
         path = _write_config(tmp_path, "nonfinite.json", _mutated(config, key_path, value))

@@ -16,11 +16,11 @@ from discop.norms import (
     double_integral_functional,
     pairwise_difference_integral,
     validate_main_theorem_params,
-    validate_params,
+    WeightParams,
 )
 from discop.operators import _composed_pair_sums
 from discop.quadrature import QuadratureSettings, build_disc_rule
-from discop.series import TruncatedPowerSeries, eval_series
+from discop.series import TruncatedPowerSeries
 from discop.symbols import Identity
 from oracles import (
     PAIRWISE_MONOMIAL_SIGMA1_BETA05,
@@ -35,26 +35,26 @@ from oracles import (
 
 
 def test_validate_params_accepts_window_point():
-    p = validate_params(1.0, 1.0, 0.5)
+    p = WeightParams(1.0, 1.0, 0.5)
     assert p.p_dirichlet == pytest.approx(1.0)
     assert p.q_exponent == pytest.approx(5.0)
 
 
 def test_validate_params_rejects_beta_above_mean():
     with pytest.raises(ParamError, match="beta"):
-        validate_params(1.0, 1.0, 2.0)
+        WeightParams(1.0, 1.0, 2.0)
 
 
 def test_validate_params_near_lower_edge():
-    p = validate_params(0.0, 0.0, -0.9)
+    p = WeightParams(0.0, 0.0, -0.9)
     assert p.p_dirichlet == pytest.approx(1.8)
 
 
 def test_validate_params_rejects_weight_endpoint():
     with pytest.raises(ParamError, match="sigma"):
-        validate_params(-1.0, 0.0, -0.6)
+        WeightParams(-1.0, 0.0, -0.6)
     with pytest.raises(ParamError, match="tau"):
-        validate_params(0.0, -1.0, -0.6)
+        WeightParams(0.0, -1.0, -0.6)
 
 
 def test_validate_main_window_point():
@@ -88,7 +88,6 @@ def test_coeff_norm_constant_is_zero():
 def test_coeff_norm_linear():
     res = dirichlet_norm_sq_coeff(TruncatedPowerSeries.monomial(1), 1.0)
     assert res.value_sq == pytest.approx(0.5)
-    assert res.method == "coefficient"
     assert res.rel_error_estimate == 0.0
 
 
@@ -105,7 +104,6 @@ def test_coeff_norm_rejects_negative_weight():
 def test_quad_norm_linear():
     res = dirichlet_norm_sq_quad(TruncatedPowerSeries.monomial(1), 1.0)
     assert res.value_sq == pytest.approx(0.5, abs=1e-10)
-    assert res.method == "quadrature"
     assert res.trace is not None
 
 
@@ -195,7 +193,7 @@ def test_homogeneity(scale):
     s = TruncatedPowerSeries([0.0, 1.0, 0.5, -0.25j])
     base_c = dirichlet_norm_sq_coeff(s, 1.0).value_sq
     base_q = dirichlet_norm_sq_quad(s, 1.0).value_sq
-    scaled = scale * s
+    scaled = TruncatedPowerSeries([scale * c for c in s.coeffs])
     assert dirichlet_norm_sq_coeff(scaled, 1.0).value_sq == pytest.approx(
         abs(scale) ** 2 * base_c, rel=1e-12
     )
@@ -210,7 +208,7 @@ def test_homogeneity(scale):
 def test_bergman_difference():
     # iint |z - w|^2 dA_1 dA_1 = 2/3 at q = 0, through the brute-force pair
     # engine (identity symbol) and the FFT pairwise integral alike
-    (pair_sum,), _, _, _ = _composed_pair_sums([lambda z: z], Identity(), 1.0, 0.0, 8, 16)
+    (pair_sum,), _, _ = _composed_pair_sums([lambda z: z], Identity(), 1.0, 0.0, 8, 16)
     assert pair_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
     fft_sum = pairwise_difference_integral(lambda z: z, 1.0, 1.0, 0.0, 8, 16)
     assert fft_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -226,7 +224,7 @@ def _direct_pair_sum(f, sigma, tau, q, n_rad, n_ang):
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
     rule_w = build_disc_rule(tau, n_rad, n_ang)
     z, w = rule_z.nodes[:, None], rule_w.nodes[None, :]
-    diff_sq = np.abs(eval_series(f, z) - eval_series(f, w)) ** 2
+    diff_sq = np.abs(f.value(z) - f.value(w)) ** 2
     kern = np.abs(1.0 - np.conj(w) * z) ** -q
     return float(np.sum(rule_z.weights[:, None] * rule_w.weights[None, :] * diff_sq * kern))
 
@@ -236,7 +234,7 @@ def _direct_pair_sum(f, sigma, tau, q, n_rad, n_ang):
 @pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
 def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
     def value_fn(z):
-        return eval_series(_QUINTIC, z)
+        return _QUINTIC.value(z)
 
     got = pairwise_difference_integral(value_fn, sigma, tau, q, n_rad, n_ang)
     want = _direct_pair_sum(_QUINTIC, sigma, tau, q, n_rad, n_ang)
@@ -250,7 +248,7 @@ def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
 def _pairwise_bits():
     # 32 radii: two radial blocks
     value = pairwise_difference_integral(
-        lambda z: eval_series(_QUINTIC, z), 1.5, 0.6, 5.8, 32, 64
+        lambda z: _QUINTIC.value(z), 1.5, 0.6, 5.8, 32, 64
     )
     return value.hex()
 
@@ -271,7 +269,7 @@ def test_pairwise_independent_of_blas_threads():
 def test_pairwise_same_bits_cold_cached_and_cleared(sigma, tau, n_rad, n_ang):
     def value():
         return pairwise_difference_integral(
-            lambda z: eval_series(_QUINTIC, z), sigma, tau, 5.8, n_rad, n_ang
+            lambda z: _QUINTIC.value(z), sigma, tau, 5.8, n_rad, n_ang
         ).hex()
 
     _kernel_spectrum.cache_clear()
@@ -286,7 +284,7 @@ def test_pairwise_same_bits_cold_cached_and_cleared(sigma, tau, n_rad, n_ang):
 def test_family_ladder_builds_each_level_once():
     # three members, each running all three levels: one build per level, and
     # the cache must not evict a level just before the next member needs it
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     ladder = QuadratureSettings(
         radial_count=8, angular_count=32, target_rel_tol=1e-15, max_refinements=2
     )
@@ -300,7 +298,7 @@ def test_family_ladder_builds_each_level_once():
 
 
 def test_double_integral_constant_is_zero():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     for c in (4.0, 1.5, 1000.0):
         res = double_integral_functional(TruncatedPowerSeries([c]), params)
         assert res.value_sq == 0.0
@@ -319,9 +317,11 @@ _CUBIC = TruncatedPowerSeries([0.0, 1.0, 0.5, -0.25j])
 @example(scale=1e8)
 def test_double_integral_scale_invariant_convergence(scale):
     # the functional is 2-homogeneous; its convergence test must be too
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     base = double_integral_functional(_CUBIC, params)
-    scaled = double_integral_functional(scale * _CUBIC, params)
+    scaled = double_integral_functional(
+        TruncatedPowerSeries([scale * c for c in _CUBIC.coeffs]), params
+    )
     assert scaled.value_sq == pytest.approx(abs(scale) ** 2 * base.value_sq, rel=1e-12)
     assert len(scaled.trace) == len(base.trace)
     assert scaled.rel_error_estimate == pytest.approx(base.rel_error_estimate, abs=1e-12)
@@ -332,7 +332,7 @@ def test_double_integral_scale_invariant_convergence(scale):
 )
 @example(shift=1e3)
 def test_double_integral_blind_to_constants(shift):
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     base = double_integral_functional(_CUBIC, params)
     shifted = TruncatedPowerSeries([shift, *_CUBIC.coeffs[1:]])
     res = double_integral_functional(shifted, params)
@@ -340,20 +340,20 @@ def test_double_integral_blind_to_constants(shift):
 
 
 def test_tiny_function_fails_refinement_like_its_unit_multiple():
-    params = validate_params(1.0, 1.0, 0.95)
+    params = WeightParams(1.0, 1.0, 0.95)
     rule = QuadratureSettings(
         radial_count=8, angular_count=16, target_rel_tol=1e-3, max_refinements=1
     )
     changes = []
     for c in (1.0, 1e-7):
         with pytest.raises(ConvergenceError) as info:
-            double_integral_functional(c * TruncatedPowerSeries.monomial(40), params, rule)
+            double_integral_functional(TruncatedPowerSeries([0.0] * 40 + [c]), params, rule)
         changes.append(info.value.partial.achieved_rel_change)
     assert changes[1] == pytest.approx(changes[0], rel=1e-12)
 
 
 def test_double_integral_linear_matches_pinned_oracle():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     res = double_integral_functional(TruncatedPowerSeries.monomial(1), params)
     # default rule is coarser than the pinned 4x value; 5e-4 covers the gap
     assert res.value_sq == pytest.approx(V1_QUAD_4X, rel=5e-4)
@@ -363,7 +363,7 @@ def test_double_integral_linear_matches_pinned_oracle():
 
 def test_brute_force_4x_matches_series_oracle():
     s = TruncatedPowerSeries.monomial(1)
-    val = pairwise_difference_integral(lambda z: eval_series(s, z), 1.0, 1.0, 5.0, 128, 512)
+    val = pairwise_difference_integral(lambda z: s.value(z), 1.0, 1.0, 5.0, 128, 512)
     assert val == pytest.approx(V1_QUAD_4X, rel=1e-12)
     assert val == pytest.approx(V1_SERIES, rel=2e-5)
 
@@ -375,7 +375,7 @@ def test_series_oracle_reproduces_frozen_table():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_double_integral_against_series_oracle(n):
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     res = double_integral_functional(TruncatedPowerSeries.monomial(n), params)
     assert res.value_sq == pytest.approx(
         PAIRWISE_MONOMIAL_SIGMA1_BETA05[n], rel=5e-3
@@ -385,14 +385,14 @@ def test_double_integral_against_series_oracle(n):
 def test_double_integral_upper_endpoint_converges():
     # beta = (sigma+tau)/2 is allowed; the trace must stabilize even though
     # the series-side oracle is unavailable there
-    params = validate_params(1.0, 1.0, 1.0)
+    params = WeightParams(1.0, 1.0, 1.0)
     res = double_integral_functional(TruncatedPowerSeries.monomial(1), params)
     assert res.value_sq > 0
     assert res.rel_error_estimate <= 0.05
 
 
 def test_double_integral_asymmetric_weights():
-    params = validate_params(1.0, 0.5, 0.25)
+    params = WeightParams(1.0, 0.5, 0.25)
     res = double_integral_functional(TruncatedPowerSeries.monomial(2), params)
     oracle = pairwise_series_oracle(2, 1.0, 0.5, 0.25)
     assert res.value_sq == pytest.approx(oracle, rel=5e-3)
@@ -402,7 +402,7 @@ def test_double_integral_asymmetric_weights():
 
 
 def test_ratio_rotation_invariant():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     base = equivalence_ratio(TruncatedPowerSeries.monomial(1), params)
     for theta in (np.pi / 7, 1.0, 2.5):
         rotated = TruncatedPowerSeries([0.0, np.exp(1j * theta)])
@@ -410,21 +410,21 @@ def test_ratio_rotation_invariant():
 
 
 def test_ratio_scale_invariant():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     s = TruncatedPowerSeries([0.0, 1.0, 0.25])
-    assert equivalence_ratio(3.5j * s, params) == pytest.approx(
+    assert equivalence_ratio(TruncatedPowerSeries([3.5j * c for c in s.coeffs]), params) == pytest.approx(
         equivalence_ratio(s, params), rel=1e-12
     )
 
 
 def test_ratio_rejects_constants():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     with pytest.raises(ParamError):
         equivalence_ratio(TruncatedPowerSeries([1.0]), params)
 
 
 def test_ratio_band_over_monomials():
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     settings = QuadratureSettings()
     ratios = [
         equivalence_ratio(TruncatedPowerSeries.monomial(n), params, settings)
@@ -444,7 +444,7 @@ def test_ratio_band_with_mobius_composed_functions():
     from discop.series import coefficients_of
     from discop.symbols import MobiusAuto
 
-    params = validate_params(1.0, 1.0, 0.5)
+    params = WeightParams(1.0, 1.0, 0.5)
     mob = MobiusAuto(0.5)
     family = [TruncatedPowerSeries.monomial(n) for n in (1, 2, 3)]
     family += [coefficients_of(lambda z, n=n: mob.value(z) ** n, 48) for n in (1, 2)]
