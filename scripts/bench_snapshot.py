@@ -35,10 +35,15 @@ snapshot also records the line total of ``src/discop/*.py`` (as
 
 Before any timing, each tree runs every experiment of every workload for
 seeds 1 and 2 once, in a fresh process, and hashes its outputs: the report
-rows without ``wall_ms``, the traces, the plot files' bytes and the exit
+rows without ``wall_ms``, the traces, the plot files' numbers and the exit
 code, or for a lift its values and traces.  The snapshot records the number
 of experiments, whether every hash is the parent's (``outputs_equal``) and
-the experiments whose hashes differ.
+the experiments whose hashes differ.  Beside the hashes it records how far
+the outputs moved: per quantity (a report row's ``quantity``, or
+``traces.<name>``, ``plots.<name>`` and a lift's value names) the largest
+relative difference of a number between the parent and the working tree,
+and every other output cell that differs (a string, a verdict, an exit code,
+or a list whose length changed).
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -102,7 +108,8 @@ def _outputs(exp, out: Path):
             result = operators.lift_norm_check(
                 series.TruncatedPowerSeries((0.0,) * degree + (coeff,)), sigma, beta,
                 settings=quadrature.QuadratureSettings(**settings))
-            norms = {name: [getattr(norm, key) for key in ("value_sq", "rel_error_estimate", "trace")]
+            keys = ("value_sq", "rel_error_estimate", "trace")
+            norms = {name: {key: getattr(norm, key) for key in keys}
                      for name, norm in (("bergman", result.bergman_sq),
                                         ("dirichlet", result.dirichlet_sq),
                                         ("double_integral", result.double_integral_sq))}
@@ -115,41 +122,104 @@ def _outputs(exp, out: Path):
         del row["wall_ms"]
     with paths.pop("csv").open(newline="") as fh:
         report["csv"] = [row[:-1] for row in csv.reader(fh)]  # wall_ms is the last column
-    report["plots"] = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+    # each plot line is "x y" in repr form, so the numbers keep every bit
+    report["plots"] = {name: [[float(x) for x in line.split()]
+                              for line in path.read_text().splitlines()]
                        for name, path in paths.items()}
     return report
 
 
-def _experiment_digests(seeds) -> dict:
-    """Per experiment of every workload for ``seeds``: the sha256 of its outputs."""
-    digests = {}
+def _experiment_outputs(seeds) -> dict:
+    """Per experiment of every workload for ``seeds``: its outputs."""
+    outputs = {}
     with tempfile.TemporaryDirectory(prefix="bench-outputs-") as tmp:
         for name in WORKLOADS:
             for seed in seeds:
                 for exp in workloads.build(name, seed):
-                    out = Path(tmp) / str(len(digests))
-                    text = json.dumps(_outputs(exp, out), sort_keys=True)
-                    digests[f"{name}:{seed}:{exp.name}"] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+                    out = Path(tmp) / str(len(outputs))
+                    outputs[f"{name}:{seed}:{exp.name}"] = _outputs(exp, out)
+    return outputs
 
 
-def _tree_digests(tree: Path) -> dict:
-    """_experiment_digests in a fresh process that imports discop from ``tree``."""
+def _tree_outputs(tree: Path) -> dict:
+    """_experiment_outputs in a fresh process that imports discop from ``tree``."""
     code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); "
             f"import bench_snapshot; "
-            f"print(json.dumps(bench_snapshot._experiment_digests({list(OUTPUT_SEEDS)!r})))")
+            f"print(json.dumps(bench_snapshot._experiment_outputs({list(OUTPUT_SEEDS)!r})))")
     done = subprocess.run([sys.executable, "-c", code], cwd=tree, capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
     return json.loads(done.stdout)
 
 
+def _digest(outputs) -> str:
+    return hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+
+
+def _leaves(a, b, path=()):
+    """(path, a, b) per position of two JSON values; a subtree whose shape
+    differs between them (other keys, another length) is one pair."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from _leaves(a[key], b[key], path + (key,))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaves(x, y, path + (i,))
+    else:
+        yield path, a, b
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _rel_diff(a, b) -> float:
+    if a == b or a != a and b != b:  # equal, or both NaN
+        return 0.0
+    diff = abs(a - b) / max(abs(a), abs(b))
+    return diff if diff == diff else math.inf  # one side NaN or infinite
+
+
+def _value_differences(parent: dict, current: dict):
+    """Per quantity the largest relative difference of a number between the
+    trees, and the other cells that differ.
+
+    A report row's numeric ``value`` counts under the row's quantity; the
+    numbers of traces and plots under ``traces.<name>`` and ``plots.<name>``,
+    a lift's under its value name.  The CSV, which repeats the rows as text,
+    is covered by the hash only.
+    """
+    largest, cells = {}, []
+    for key in sorted(parent.keys() & current.keys()):
+        p, c = parent[key], current[key]
+        for path, a, b in _leaves(p, c):
+            if path[:1] == ("csv",):
+                continue
+            rows = path[:1] == ("rows",) and len(path) == 3
+            quantity = p["rows"][path[1]]["quantity"] if rows else ".".join(map(str, path[:2]))
+            measured = path[2:] == ("value",) if rows else path != ("exit_code",)
+            if measured and _number(a) and _number(b):
+                entry = largest.setdefault(quantity, {"max_rel_diff": 0.0, "at": None})
+                diff = _rel_diff(a, b)
+                if diff > entry["max_rel_diff"]:
+                    entry.update(max_rel_diff=diff, at=key)
+            elif a != b:
+                cells.append({"experiment": key, "quantity": quantity,
+                              "path": list(path), "parent": a, "current": b})
+    return dict(sorted(largest.items())), cells
+
+
 def _compare_outputs(parent_tree: Path) -> dict:
-    """Whether every experiment of both trees has the same outputs."""
-    parent, current = _tree_digests(parent_tree), _tree_digests(ROOT)
-    differing = sorted(k for k in parent.keys() | current.keys() if parent.get(k) != current.get(k))
-    print(f"outputs: {len(current)} experiments, {len(differing)} differ", file=sys.stderr)
+    """Whether every experiment of both trees has the same outputs, and how far they moved."""
+    parent, current = _tree_outputs(parent_tree), _tree_outputs(ROOT)
+    differing = sorted(k for k in parent.keys() | current.keys()
+                       if k not in parent or k not in current
+                       or _digest(parent[k]) != _digest(current[k]))
+    largest, cells = _value_differences(parent, current)
+    print(f"outputs: {len(current)} experiments, {len(differing)} differ, "
+          f"{len(cells)} non-numeric cells differ", file=sys.stderr)
     return {"seeds": list(OUTPUT_SEEDS), "experiments": len(current),
-            "outputs_equal": not differing, "differing": differing}
+            "outputs_equal": not differing, "differing": differing,
+            "max_rel_diff": largest, "non_numeric_differences": cells}
 
 
 def _extract_head(into: Path) -> str:

@@ -43,6 +43,7 @@ from .quadrature import (
 )
 from .series import TruncatedPowerSeries, coefficients_of, differentiate
 from .symbols import (
+    Blaschke,
     BoundaryPoint,
     FiniteBlaschke,
     Identity,
@@ -51,7 +52,6 @@ from .symbols import (
     Polynomial,
     Rotation,
     SelfMapCheck,
-    Symbol,
     verify_self_map,
 )
 

@@ -36,7 +36,7 @@ from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
-from .symbols import FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation, Symbol
+from .symbols import Blaschke, FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation
 
 #: the top-level keys each command reads besides command and out_dir
 _INPUTS = {
@@ -55,7 +55,7 @@ class RunConfig:
     """Validated inputs of one experiment run."""
 
     command: str
-    symbol: Symbol | None = None
+    symbol: Blaschke | Polynomial | None = None
     family: tuple = ()  # ((label, TruncatedPowerSeries), ...)
     params: WeightParams | None = None
     quadrature: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -120,8 +120,8 @@ def _spectrum_bytes(q: QuadratureSettings, refine=0):
     return 8 * (q.angular_count * top // 2 + 1) * (q.radial_count * top) ** 2
 
 
-#: per symbol type: the class, then each field with its reader and default
-#: (None: required); the first field is the one the constructor checks
+#: per symbol type: the constructor, then each field with its reader and
+#: default (None: required); the first field is the one the constructor checks
 _SYMBOLS = {
     "identity": (Identity, {}),
     "rotation": (Rotation, {"angle": (_number, None)}),
@@ -132,7 +132,7 @@ _SYMBOLS = {
 }
 
 
-def symbol_from_spec(spec) -> Symbol:
+def symbol_from_spec(spec) -> Blaschke | Polynomial:
     """Build a symbol from its config form (field ``type`` selects the variant).
 
     A missing, unreadable or out-of-range field is refused as ``symbol.<field>``.
@@ -148,6 +148,8 @@ def symbol_from_spec(spec) -> Symbol:
         if key not in spec and default is None:
             raise ConfigError(f"symbol.{key}: a {kind!r} symbol needs it", field=f"symbol.{key}")
         kwargs[key] = read(spec[key], f"symbol.{key}") if key in spec else default
+    if kind == "monomial":
+        _fits(8 * kwargs["k"], "symbol.k")  # z^k holds its k zeros at the origin
     try:
         return cls(**kwargs)
     except ParamError as exc:
@@ -348,11 +350,15 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
 
     ``refine`` multiplies the base quadrature counts by refinement_factor^k
     (the sup-search grid is left alone; it refines itself), unless the last
-    level's kernel spectrum then exceeds physical memory.
+    level's kernel spectrum then exceeds physical memory.  A command that
+    does not read what a flag sets refuses the flag (a zero refine is none).
     """
-    for flag, value in (("--refine", refine), ("--seed", seed)):
+    for flag, value, key in (("--refine", refine or None, "quadrature"),
+                             ("--seed", seed, "sup_search")):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must be >= 0, got {value}", field=flag)
+        if value is not None and key not in _INPUTS[config.command]:
+            raise ConfigError(f"{flag}: {config.command} reads no {key}", field=flag)
     if out_dir is not None:
         config = replace(config, out_dir=str(out_dir))
     if refine:

@@ -35,7 +35,7 @@ from .norms import (
 )
 from .operators import DERIV_TOL, VIOLATION_REL_TOL, bound_check, rank_sufficiency_check
 from .quadrature import _rel_change
-from .symbols import Polynomial, Symbol, verify_self_map
+from .symbols import Blaschke, Polynomial, verify_self_map
 
 CSV_COLUMNS = ("experiment", "input", "quantity", "value", "method", "tolerance", "verdict", "wall_ms")
 
@@ -67,7 +67,7 @@ class RunOutcome:
 VERDICT_CODES = {"Unbounded": 2, "Fail": 2, "Inconclusive": 3}
 
 
-def _verified(symbol: Symbol) -> Symbol:
+def _verified(symbol: Blaschke | Polynomial) -> Blaschke | Polynomial:
     if isinstance(symbol, Polynomial) and not symbol.verified:
         return verify_self_map(symbol).symbol
     return symbol

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .symbols import BoundaryPoint, Symbol, contact_indicator
-
-TWO_PI = 2.0 * np.pi
+from .symbols import TWO_PI, BoundaryPoint, contact_indicator
 
 #: |1 - z conj(w)| below this is treated as "on the boundary diagonal"
 MIN_DENOMINATOR = 1e-13
@@ -57,7 +55,7 @@ _DEFAULT_EXTRAP_H = 0.2 * 0.5 ** np.arange(9)
 _STAB_TOL = 1e-8
 
 
-def _diag_values_batch(symbol: Symbol, angles):
+def _diag_values_batch(symbol, angles):
     """Radial-limit extrapolation of k(r zeta, r zeta) for a batch of angles.
 
     Returns (values, ok) where ok flags angles whose extrapolation stabilized
@@ -165,7 +163,7 @@ def _start_geometry(n0):
     return geometry
 
 
-def _kernel_grid(symbol: Symbol, geometry, contact_tol):
+def _kernel_grid(symbol, geometry, contact_tol):
     """|k| over a grid of boundary angle pairs, given its _grid_geometry.
 
     Numerator and denominator share the complex-difference float path, so
@@ -190,7 +188,7 @@ def _kernel_grid(symbol: Symbol, geometry, contact_tol):
     return vals
 
 
-def estimate_sup(symbol: Symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTINGS) -> SupEstimate:
+def estimate_sup(symbol, settings: SupSearchSettings = DEFAULT_SUP_SETTINGS) -> SupEstimate:
     """Estimate sup |k| over the bidisc by boundary grid search with local zoom.
 
     A uniform grid on the two boundary angles is followed by repeated zooms

@@ -26,8 +26,9 @@ The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
 entries phi'(zeta_1), phi'(zeta_2) (the cross partials vanish), so
 invertibility at every boundary-contact pair reduces to |phi'| staying away
-from zero on the one-variable contact set.  The check evaluates phi and phi'
-once on its boundary grid and decides every case from those two arrays.
+from zero on the contact set: the circle for a Blaschke product (every inner
+symbol), the scan-bracketed maxima of |phi| for a polynomial.  Both come
+from one evaluation of phi and phi' on the boundary grid.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from .norms import (
 )
 from .quadrature import QuadratureSettings, _rel_change, build_disc_rule
 from .series import TruncatedPowerSeries
-from .symbols import BoundaryPoint, Identity, Polynomial, Symbol
+from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
 
-TWO_PI = 2.0 * np.pi
 #: rows per block of the composed pair engine, rows per tile of its elementwise
 #: chain, and the block corner's zeroed part (the lower triangle and diagonal)
 _BLOCK, _TILE = 512, 16
@@ -71,7 +71,7 @@ class ComposedFunction:
     """f (a series, symbol or composition) after a symbol: value and chain-rule derivative."""
 
     f: object
-    symbol: Symbol
+    symbol: Blaschke | Polynomial
 
     def value(self, z):
         return self.f.value(self.symbol.value(z))
@@ -196,7 +196,7 @@ class RankReport:
     verdict: RankVerdict
 
 
-def _refine_min_deriv(symbol: Symbol, theta0: float, half_width: float) -> float:
+def _refine_min_deriv(symbol, theta0: float, half_width: float) -> float:
     """Polish a boundary minimum of |phi'| with a bounded scalar search."""
     res = minimize_scalar(
         lambda t: float(np.abs(symbol.deriv(np.exp(1j * t)))),
@@ -207,29 +207,19 @@ def _refine_min_deriv(symbol: Symbol, theta0: float, half_width: float) -> float
     return float(res.fun)
 
 
-def _bisect_modulus_extremum(symbol: Symbol, lo: float, hi: float) -> float:
-    """Bisect d|phi|^2/dtheta between a sign change to locate the extremum angle."""
-
-    def slope(t):
-        zeta = np.exp(1j * t)
-        return float(
-            2.0 * np.real(np.conj(symbol.value(zeta)) * 1j * zeta * symbol.deriv(zeta))
-        )
-
-    flo = slope(lo)
+def _bisect_modulus_extremum(symbol, lo: float, hi: float) -> float:
+    """Bisect d|phi|^2/dtheta to its root in a scan bracket (slope > 0 at lo, <= 0 at hi)."""
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        fm = slope(mid)
+        zeta = np.exp(1j * mid)
+        fm = float(2.0 * np.real(np.conj(symbol.value(zeta)) * 1j * zeta * symbol.deriv(zeta)))
         if fm == 0.0 or hi - lo < 1e-13:
             return mid
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def rank_sufficiency_check(symbol: Symbol) -> RankReport:
+def rank_sufficiency_check(symbol: Blaschke | Polynomial) -> RankReport:
     """Decide invertibility of the diagonal bidisc symbol on its contact set.
 
     Scans 4096 boundary angles for contact points (local maxima of |phi|
@@ -244,16 +234,16 @@ def rank_sufficiency_check(symbol: Symbol) -> RankReport:
     mods, dmod = np.abs(phi), np.abs(dphi)
     degree = len(symbol.coeffs) - 1 if isinstance(symbol, Polynomial) else None
     exhaustive = degree is not None and _SCAN_RESOLUTION >= 32 * (2 * degree + 1)
-    touched = symbol.boundary_unimodular or not float(np.max(mods)) < 1.0 - _CONTACT_TOL
+    inner = isinstance(symbol, Blaschke)
+    touched = inner or not float(np.max(mods)) < 1.0 - _CONTACT_TOL
     # the whole circle is contact by construction, or in effect (e.g. a
     # rotation written as a polynomial)
-    full_circle = symbol.boundary_unimodular or (
-        touched and float(np.max(mods) - np.min(mods)) <= 1e-12)
+    full_circle = inner or (touched and float(np.max(mods) - np.min(mods)) <= 1e-12)
     points, min_deriv = [], None
     if full_circle:
         exhaustive, k = True, int(np.argmin(dmod))
         min_deriv = float(dmod[k])
-        if symbol.boundary_unimodular:
+        if inner:
             refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / _SCAN_RESOLUTION)
             min_deriv = min(min_deriv, refined)
     elif touched:
@@ -403,7 +393,7 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
 
 def bound_check(
     family,
-    symbol: Symbol,
+    symbol: Blaschke | Polynomial,
     sigma: float,
     beta: float,
     settings: QuadratureSettings = QuadratureSettings(),

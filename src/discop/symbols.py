@@ -1,11 +1,12 @@
 """Catalog of holomorphic self-maps of the unit disc.
 
-Every variant carries a closed-form derivative and is C^1 on the closed
-disc.  All variants except Polynomial are self-maps by construction; the
-inner ones (identity, rotations, disc automorphisms, monomials, finite
-Blaschke products) are unimodular on the whole unit circle, which the
-boundary-contact machinery exploits.  Polynomial symbols must pass
-:func:`verify_self_map` before they may be evaluated.
+Every symbol carries a closed-form derivative and is C^1 on the closed disc.
+The inner ones are one type, :class:`Blaschke`: a C^1 inner self-map is a
+finite Blaschke product, and the identity, rotations, disc automorphisms and
+monomials are its cases with one zero or with every zero at the origin.  They
+are unimodular on the whole unit circle, which the boundary-contact machinery
+exploits.  Polynomial symbols must pass :func:`verify_self_map` before they
+may be evaluated.
 
 Evaluation is vectorized: ``value`` and ``deriv`` accept scalars or numpy
 arrays of points in the closed disc.  This module holds only the maps; their
@@ -37,150 +38,95 @@ class BoundaryPoint:
         return complex(np.exp(1j * self.angle))
 
 
-class Symbol:
-    """Base class; subclasses implement value/deriv and the inner flag."""
-
-    #: True when |phi| == 1 identically on the unit circle (by construction).
-    boundary_unimodular = False
-
-    def value(self, z):
-        raise NotImplementedError
-
-    def deriv(self, z):
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Identity(Symbol):
-    boundary_unimodular = True
+class Blaschke:
+    """The finite Blaschke product unit * z^m * prod_a (a - z)/(1 - conj(a) z).
 
-    def value(self, z):
-        return np.asarray(z, dtype=complex)
-
-    def deriv(self, z):
-        return np.ones_like(np.asarray(z, dtype=complex))
-
-    def describe(self):
-        return "identity"
-
-
-@dataclass(frozen=True)
-class Rotation(Symbol):
-    """z -> e^{i angle} z."""
-
-    angle: float
-    boundary_unimodular = True
-
-    def value(self, z):
-        return np.exp(1j * self.angle) * np.asarray(z, dtype=complex)
-
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.full_like(z, np.exp(1j * self.angle))
-
-    def describe(self):
-        return f"rotation({self.angle:g})"
-
-
-@dataclass(frozen=True)
-class MobiusAuto(Symbol):
-    """Disc automorphism z -> e^{i post_rotation} (a - z)/(1 - conj(a) z), |a| < 1."""
-
-    a: complex
-    post_rotation: float = 0.0
-    boundary_unimodular = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        if not abs(self.a) < 1.0:
-            raise ParamError(f"Mobius parameter must satisfy |a| < 1, got |a| = {abs(self.a):g}")
-
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(1j * self.post_rotation) * (self.a - z) / (1.0 - np.conj(self.a) * z)
-
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (
-            np.exp(1j * self.post_rotation)
-            * (abs(self.a) ** 2 - 1.0)
-            / (1.0 - np.conj(self.a) * z) ** 2
-        )
-
-    def describe(self):
-        return f"mobius(a={self.a:g}, rot={self.post_rotation:g})"
-
-
-@dataclass(frozen=True)
-class Monomial(Symbol):
-    """z -> z^k, k >= 1."""
-
-    k: int
-    boundary_unimodular = True
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParamError("monomial symbol degree must be >= 1")
-
-    def value(self, z):
-        return np.asarray(z, dtype=complex) ** self.k
-
-    def deriv(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.k * z ** (self.k - 1)
-
-    def describe(self):
-        return f"z^{self.k}"
-
-
-@dataclass(frozen=True)
-class FiniteBlaschke(Symbol):
-    """Product of automorphism factors (a_j - z)/(1 - conj(a_j) z), all |a_j| < 1."""
+    ``zeros`` holds every zero, each |a| < 1: the m at the origin enter as
+    z^m, the others in order as automorphism factors; |unit| = 1.  ``label``
+    is the spelling :meth:`describe` returns (the report's input column).
+    The constructors below build the catalog's inner symbols.
+    """
 
     zeros: tuple
-    post_rotation: float = 0.0
-    boundary_unimodular = True
+    unit: complex
+    label: str
 
     def __post_init__(self):
         zeros = tuple(complex(a) for a in self.zeros)
-        if not zeros:
-            raise ParamError("a Blaschke product needs at least one factor")
-        if not all(abs(a) < 1.0 for a in zeros):
-            raise ParamError("all Blaschke zeros must satisfy |a| < 1")
+        if not zeros or not all(abs(a) < 1.0 for a in zeros):
+            raise ParamError("a Blaschke product needs at least one zero, all with |a| < 1")
         object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "_origin", zeros.count(0))
+        # per factor off the origin: a, conj(a) and the numerator |a|^2 - 1 of its derivative
+        factors = tuple((a, np.conj(a), abs(a) ** 2 - 1.0) for a in zeros if a)
+        object.__setattr__(self, "_factors", factors)
 
     def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.full_like(z, np.exp(1j * self.post_rotation))
-        for a in self.zeros:
-            out = out * (a - z) / (1.0 - np.conj(a) * z)
+        z, m = np.asarray(z, dtype=complex), self._origin
+        out = self.unit
+        if m:
+            zm = z if m == 1 else z**m
+            out = zm if self.unit == 1 else self.unit * zm  # 1 * zm can flip a zero's sign
+        for a, conj_a, _ in self._factors:
+            out = out * (a - z) / (1.0 - conj_a * z)
         return out
 
     def deriv(self, z):
-        # product rule over the factors; each factor derivative is
-        # (|a|^2 - 1)/(1 - conj(a) z)^2
-        z = np.asarray(z, dtype=complex)
-        factors = [(a - z) / (1.0 - np.conj(a) * z) for a in self.zeros]
-        out = np.zeros_like(z)
-        for j, a in enumerate(self.zeros):
-            dj = (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
-            rest = np.full_like(z, 1.0 + 0.0j)
-            for m, f in enumerate(factors):
-                if m != j:
-                    rest = rest * f
-            out = out + dj * rest
-        return np.exp(1j * self.post_rotation) * out
+        # forward product rule over the factors f: D <- D f + P f', then P <- P f
+        z, m = np.asarray(z, dtype=complex), self._origin
+        prod, out = self.unit, None
+        if m:
+            out = np.full_like(z, self.unit) if m == 1 else self.unit * m * z ** (m - 1)
+            prod = self.unit * (z if m == 1 else z**m) if self._factors else prod
+        for a, conj_a, dnum in self._factors:
+            den = 1.0 - conj_a * z
+            term = prod * dnum / den**2
+            if out is None and len(self._factors) == 1:
+                return term  # a lone factor: D = P f'
+            f = (a - z) / den
+            out = term if out is None else out * f + term
+            prod = prod * f
+        return out
 
     def describe(self):
-        zs = ",".join(f"{a:g}" for a in self.zeros)
-        return f"blaschke([{zs}], rot={self.post_rotation:g})"
+        return self.label
+
+
+def Identity():
+    return Blaschke((0j,), 1.0 + 0j, "identity")
+
+
+def Rotation(angle):
+    """z -> e^{i angle} z."""
+    return Blaschke((0j,), complex(np.exp(1j * angle)), f"rotation({angle:g})")
+
+
+def MobiusAuto(a, post_rotation=0.0):
+    """Disc automorphism z -> e^{i post_rotation} (a - z)/(1 - conj(a) z), |a| < 1."""
+    a = complex(a)
+    label = f"mobius(a={a:g}, rot={post_rotation:g})"
+    return replace(FiniteBlaschke((a,), post_rotation), label=label)
+
+
+def Monomial(k):
+    """z -> z^k, k >= 1 (k < 1 leaves no zero, which Blaschke refuses)."""
+    return Blaschke((0j,) * k, 1.0 + 0j, f"z^{k}")
+
+
+def FiniteBlaschke(zeros, post_rotation=0.0):
+    """z -> e^{i post_rotation} prod_j (a_j - z)/(1 - conj(a_j) z), all |a_j| < 1.
+
+    A zero at the origin has the factor -z; its sign goes into the unit.
+    """
+    zeros = tuple(complex(a) for a in zeros)
+    label = f"blaschke([{','.join(f'{a:g}' for a in zeros)}], rot={post_rotation:g})"
+    unit = complex(np.exp(1j * post_rotation))
+    return Blaschke(zeros, -unit if zeros.count(0) % 2 else unit, label)
 
 
 @dataclass(frozen=True)
-class Polynomial(Symbol):
+class Polynomial:
     """Polynomial symbol; only usable after verify_self_map has set ``verified``."""
 
     coeffs: tuple
@@ -219,12 +165,12 @@ class SelfMapCheck:
     flags max |phi| >= 1 - tol, i.e. the symbol (nearly) touches the circle.
     """
 
-    symbol: Symbol
+    symbol: Blaschke | Polynomial
     max_modulus: float
     boundary_contact: bool
 
 
-def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) -> SelfMapCheck:
+def verify_self_map(symbol, grid_size: int = 1024, tol: float = 1e-6) -> SelfMapCheck:
     """Check max_T |phi| <= 1 + tol on a uniform boundary grid.
 
     By the maximum principle the boundary grid bounds the modulus on the whole
@@ -251,9 +197,9 @@ def verify_self_map(symbol: Symbol, grid_size: int = 1024, tol: float = 1e-6) ->
     )
 
 
-def contact_indicator(symbol: Symbol, angles, contact_tol: float = 1e-6):
+def contact_indicator(symbol: Blaschke | Polynomial, angles, contact_tol: float = 1e-6):
     """Boolean mask of boundary angles where 1 - |phi| <= contact_tol."""
-    if symbol.boundary_unimodular:
+    if isinstance(symbol, Blaschke):
         return np.ones(np.shape(np.asarray(angles)), dtype=bool)
     zeta = np.exp(1j * np.asarray(angles, dtype=float))
     return 1.0 - np.abs(symbol.value(zeta)) <= contact_tol

@@ -21,8 +21,9 @@ FFTs, no node sets.
 
 The module also holds helpers that only the tests use: pointwise kernel
 evaluation, the closed-form suprema, the symbol spec writer, the equivalence
-ratio of one function, and the row-by-row Neville loop that the vectorised
-extrapolation is checked against.
+ratio of one function, the row-by-row Neville loop that the vectorised
+extrapolation is checked against, and reference evaluations of the inner
+symbols (their closed forms and the factor-by-factor Blaschke product).
 """
 
 import numpy as np
@@ -37,14 +38,7 @@ from discop.norms import (
 )
 from discop.quadrature import QuadratureSettings
 from discop.series import TruncatedPowerSeries
-from discop.symbols import (
-    FiniteBlaschke,
-    Identity,
-    MobiusAuto,
-    Monomial,
-    Polynomial,
-    Rotation,
-)
+from discop.symbols import Polynomial
 
 # D(z^n) at sigma = tau = 1, beta = 0.5, from the series oracle above
 # (kmax = 2^21, 4 Richardson levels; stable to ~1e-12 across depths)
@@ -132,18 +126,17 @@ def eval_kernel(symbol, z, w, min_denominator=MIN_DENOMINATOR):
 
 
 def closed_form_sup(symbol):
-    """Exact sup |k| for the catalog subset with a closed form.
+    """Exact sup |k| for the inner symbols with a closed form, read from the zeros.
 
-    Identity and rotations give 1; a disc automorphism with parameter a gives
-    (1+|a|)/(1-|a|); z^k factors the kernel into a geometric sum of k terms
-    with supremum k.
+    One zero a (a disc automorphism; a = 0 for the identity and rotations)
+    gives (1+|a|)/(1-|a|); k zeros at the origin (z^k up to a unit) factor the
+    kernel into a geometric sum of k terms with supremum k.
     """
-    if isinstance(symbol, (Identity, Rotation)):
-        return 1.0
-    if isinstance(symbol, MobiusAuto):
-        return (1.0 + abs(symbol.a)) / (1.0 - abs(symbol.a))
-    if isinstance(symbol, Monomial):
-        return float(symbol.k)
+    zeros = getattr(symbol, "zeros", ())
+    if len(zeros) == 1:
+        return (1.0 + abs(zeros[0])) / (1.0 - abs(zeros[0]))
+    if zeros and not any(zeros):
+        return float(len(zeros))
     raise ParamError(f"no closed-form supremum for {symbol.describe()}")
 
 
@@ -179,28 +172,72 @@ def equivalence_ratio(f, params, settings=QuadratureSettings()):
 
 
 def symbol_to_spec(symbol):
-    """Inverse of symbol_from_spec (complex numbers as {'re','im'} objects)."""
+    """A config form of ``symbol`` for symbol_from_spec (complex numbers as
+    {'re','im'} objects), read from a polynomial's coefficients or from an
+    inner symbol's zeros and unit, in the narrowest spelling that fits."""
 
     def c2d(c):
         return {"re": c.real, "im": c.imag}
 
-    if isinstance(symbol, Identity):
-        return {"type": "identity"}
-    if isinstance(symbol, Rotation):
-        return {"type": "rotation", "angle": symbol.angle}
-    if isinstance(symbol, MobiusAuto):
-        return {"type": "mobius", "a": c2d(symbol.a), "post_rotation": symbol.post_rotation}
-    if isinstance(symbol, Monomial):
-        return {"type": "monomial", "k": symbol.k}
-    if isinstance(symbol, FiniteBlaschke):
-        return {
-            "type": "blaschke",
-            "zeros": [c2d(a) for a in symbol.zeros],
-            "post_rotation": symbol.post_rotation,
-        }
     if isinstance(symbol, Polynomial):
         return {"type": "poly", "coeffs": [c2d(c) for c in symbol.coeffs]}
-    raise ParamError(f"cannot serialize symbol {symbol!r}")
+    zeros, unit = symbol.zeros, symbol.unit
+    angle = float(np.angle(unit))
+    if zeros == (0,):
+        return {"type": "identity"} if unit == 1 else {"type": "rotation", "angle": angle}
+    if not any(zeros) and unit == 1:
+        return {"type": "monomial", "k": len(zeros)}
+    if len(zeros) == 1:
+        return {"type": "mobius", "a": c2d(zeros[0]), "post_rotation": angle}
+    # the blaschke spelling's unit carries the sign of each factor -z at the origin
+    rotation = float(np.angle(unit * (-1) ** zeros.count(0)))
+    return {"type": "blaschke", "zeros": [c2d(a) for a in zeros], "post_rotation": rotation}
+
+
+# --- reference evaluations of the inner symbols -------------------------------
+# Each returns (value, derivative) at the points z: the closed forms of the
+# identity, rotations, disc automorphisms and z^k, and the finite Blaschke
+# product factor by factor with its O(k^2) product-rule derivative.
+
+
+def identity_reference(z):
+    z = np.asarray(z, dtype=complex)
+    return z, np.ones_like(z)
+
+
+def rotation_reference(angle, z):
+    z = np.asarray(z, dtype=complex)
+    return np.exp(1j * angle) * z, np.full_like(z, np.exp(1j * angle))
+
+
+def mobius_reference(a, post_rotation, z):
+    z = np.asarray(z, dtype=complex)
+    unit = np.exp(1j * post_rotation)
+    return (unit * (a - z) / (1.0 - np.conj(a) * z),
+            unit * (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2)
+
+
+def monomial_reference(k, z):
+    z = np.asarray(z, dtype=complex)
+    return z**k, k * z ** (k - 1)
+
+
+def blaschke_reference(zeros, post_rotation, z):
+    z = np.asarray(z, dtype=complex)
+    value = np.full_like(z, np.exp(1j * post_rotation))
+    for a in zeros:
+        value = value * (a - z) / (1.0 - np.conj(a) * z)
+    # product rule: each factor's derivative (|a|^2 - 1)/(1 - conj(a) z)^2 times the others
+    factors = [(a - z) / (1.0 - np.conj(a) * z) for a in zeros]
+    deriv = np.zeros_like(z)
+    for j, a in enumerate(zeros):
+        dj = (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
+        rest = np.full_like(z, 1.0 + 0.0j)
+        for m, f in enumerate(factors):
+            if m != j:
+                rest = rest * f
+        deriv = deriv + dj * rest
+    return value, np.exp(1j * post_rotation) * deriv
 
 
 def neville_to_zero_scalar(hs, table):

@@ -62,7 +62,7 @@ def _sweep_configs():
 def test_parse_minimal_kernel_sup():
     cfg = parse_config({"command": "kernel-sup", "symbol": {"type": "mobius", "a": {"re": 0.5, "im": 0.0}}})
     assert cfg.command == "kernel-sup"
-    assert cfg.symbol.a == 0.5
+    assert cfg.symbol.zeros == (0.5,)
     # integer fields read integral floats as ints
     cfg = parse_config(
         {
@@ -71,7 +71,7 @@ def test_parse_minimal_kernel_sup():
             "sup_search": {"initial_grid": 64.0},
         }
     )
-    assert type(cfg.symbol.k) is int and cfg.symbol.k == 2
+    assert cfg.symbol.zeros == (0j, 0j) and cfg.symbol.describe() == "z^2"
     assert cfg.sup_search.initial_grid == 64
     cfg = parse_config(
         {
@@ -178,10 +178,14 @@ def test_overrides_scale_quadrature():
             "quadrature": {"radial_count": 8, "angular_count": 16},
         }
     )
-    bumped = apply_overrides(cfg, refine=2, seed=7)
+    bumped = apply_overrides(cfg, refine=2)
     assert bumped.quadrature.radial_count == 32
     assert bumped.quadrature.angular_count == 64
-    assert bumped.sup_search.seed == 7
+
+
+def test_overrides_reseed_sup_search():
+    cfg = parse_config({"command": "kernel-sup", "symbol": {"type": "identity"}})
+    assert apply_overrides(cfg, seed=7).sup_search.seed == 7
 
 
 # --- running -----------------------------------------------------------------
@@ -713,6 +717,26 @@ def test_cli_refuses_negative_seed_and_refine(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("kernel-sup", "--refine", "1"),
+    ("kernel-sup", "--refine", "3"),  # refused for what it sets, not for a spectrum never built
+    ("norm", "--seed", "5"),
+])
+def test_cli_refuses_flags_the_command_does_not_read(tmp_path, capsys, command, flag, value):
+    payload = {
+        "kernel-sup": {"command": "kernel-sup", "symbol": {"type": "identity"}},
+        "norm": {"command": "norm", "family": "monomials:1..2",
+                 "params": {"sigma": 1.0, "beta": 0.5}},
+    }[command]
+    path = _write_config(tmp_path, "ok.json", payload)
+    argv = [command, "--config", path, "--out", str(tmp_path / "out"), flag, value]
+    assert cli_main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"{flag}: {command} reads no" in err and "sizes at least" not in err
+    # a zero --refine asks for nothing, so it is accepted
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out"), "--refine", "0"]) == 0
+
+
 def test_cli_refuses_refine_beyond_physical_memory(tmp_path, capsys, monkeypatch):
     # the refusal comes before any rule is built
     monkeypatch.setattr("discop.cli.run", lambda config: pytest.fail("run() was reached"))
@@ -767,6 +791,7 @@ def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
           "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}}, "family.order"),
         ({"command": "equivalence", "family": {"name": "mobius-monomials", "stop": 10**17},
           "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}}, "family"),
+        ({"command": "kernel-sup", "symbol": {"type": "monomial", "k": 10**12}}, "symbol.k"),
     ],
 )
 def test_cli_refuses_sizes_beyond_physical_memory_before_allocating(

@@ -151,7 +151,7 @@ def test_closed_form_sup_values():
     assert closed_form_sup(MobiusAuto(0.5)) == pytest.approx(3.0)
     assert closed_form_sup(Monomial(3)) == 3.0
     with pytest.raises(ParamError):
-        closed_form_sup(FiniteBlaschke((0.5,)))
+        closed_form_sup(FiniteBlaschke((0.5, -0.3j)))
 
 
 # --- supremum search ----------------------------------------------------------
@@ -265,7 +265,7 @@ def test_sup_settings_validation():
 @pytest.mark.parametrize(
     "symbol,bound",
     [(Identity(), 1e-14), (Monomial(2), 1e-13), (MobiusAuto(0.7j), 1e-13)],
-    ids=lambda v: str(v),
+    ids=["Identity()-1e-14", "Monomial(k=2)-1e-13", "MobiusAuto(a=0.7j, post_rotation=0.0)-1e-13"],
 )
 def test_pointwise_identity(symbol, bound):
     if isinstance(symbol, float):

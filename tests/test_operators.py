@@ -158,6 +158,52 @@ def test_rank_contact_polynomial():
     assert report.verdict is RankVerdict.PASS
 
 
+def _circle_gap(a, b):
+    return abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+
+
+def _assert_contact_angles(report, expected):
+    got = [p.angle for p in report.points]
+    assert len(got) == len(expected)
+    for angle in expected:
+        assert min(_circle_gap(angle, g) for g in got) <= 1e-9
+
+
+def test_rank_seed7_poly_contact_symbol():
+    # c0 + c4 z^4 with |c0| + |c4| = 1 (perfbench symbol-scan seed 7,
+    # poly-contact[1]): contact where c4 z^4 points along c0, one of them on a
+    # scan angle; it was reported Inconclusive when the bisection's scalar
+    # slope there came out 0.0 and the bracket walked off the contact point
+    c0 = -0.16240146179852258 + 0.04340449156972897j
+    c4 = 0.3251186484119622 - 0.765736658688432j
+    poly = verify_self_map(Polynomial([c0, 0, 0, 0, c4])).symbol
+    report = rank_sufficiency_check(poly)
+    assert report.verdict is RankVerdict.PASS
+    base = (np.angle(c0) - np.angle(c4)) / 4
+    _assert_contact_angles(report, [base + l * np.pi / 2 for l in range(4)])
+    assert report.min_deriv_modulus == pytest.approx(4 * abs(c4), abs=1e-12)
+    assert report.min_deriv_modulus == pytest.approx(3.3275931626436432, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, t, psi, index", [
+    (1, 0.622, -1.593, 4092),
+    (2, 0.263, -1.05, 1788),
+    (4, 0.414, -0.042, 3457),
+])
+def test_rank_contact_on_scan_grid_found_at_every_point(m, t, psi, index):
+    # e^{i psi} (t + (1-t) (z/zeta0)^m) touches the circle where (z/zeta0)^m = 1,
+    # at m angles of the 4,096-point scan grid; each case lost or shifted a
+    # point when the bisection re-evaluated the bracket's left slope
+    zeta0 = np.exp(2j * np.pi * index / 4096)
+    coeffs = [0j] * (m + 1)
+    coeffs[0] = np.exp(1j * psi) * t
+    coeffs[m] = np.exp(1j * psi) * (1 - t) * zeta0**-m
+    report = rank_sufficiency_check(verify_self_map(Polynomial(coeffs)).symbol)
+    assert report.verdict is RankVerdict.PASS
+    _assert_contact_angles(report, [2 * np.pi * (index / 4096 + l / m) for l in range(m)])
+    assert report.min_deriv_modulus == pytest.approx(m * (1 - t), rel=1e-9)
+
+
 def test_rank_constant_vacuous():
     poly = verify_self_map(Polynomial([0.3])).symbol
     report = rank_sufficiency_check(poly)

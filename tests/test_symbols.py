@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,14 @@ from discop.symbols import (
     contact_indicator,
     verify_self_map,
 )
-from oracles import symbol_to_spec
+from oracles import (
+    blaschke_reference,
+    identity_reference,
+    mobius_reference,
+    monomial_reference,
+    rotation_reference,
+    symbol_to_spec,
+)
 
 CATALOG = [
     Identity(),
@@ -192,3 +201,109 @@ def test_mobius_maps_disc_to_disc(a, r):
     sym = MobiusAuto(a)
     z = r * np.exp(0.73j)
     assert abs(sym.value(z)) <= 1.0 + 1e-12
+
+
+# --- the inner type against its references --------------------------------------
+# Sizes stay at 4,096 points or fewer: at 25,000 points numpy's vectorised
+# complex products already round the automorphism and a one-zero product
+# differently in the last bit, so a reference written either way can miss by one.
+REFERENCE_SIZES = (33, 256, 1024, 4096)
+
+
+def _points(n):
+    """n points of the unit circle and n of the open disc."""
+    rng = np.random.default_rng(n)
+    disc = np.sqrt(rng.uniform(0.0, 0.999, n)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    return np.concatenate([np.exp(2j * np.pi * np.arange(n) / n), disc])
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+def _rel_err(x, y, scale=None):
+    return float(np.max(np.abs(x - y) / (np.abs(y) if scale is None else scale)))
+
+
+def _product_rule_scale(zeros, z):
+    """sum_j |f_j'| prod_{i != j} |f_i|: |B'| on the circle, where the terms align.
+
+    Inside the disc the terms can cancel (B' has zeros there), so both
+    derivatives carry round-off relative to this sum, not to |B'|.
+    """
+    moduli = [np.abs((a - z) / (1.0 - np.conj(a) * z)) for a in zeros]
+    slopes = [(1.0 - abs(a) ** 2) / np.abs(1.0 - np.conj(a) * z) ** 2 for a in zeros]
+    return sum(slopes[j] * np.prod([m for i, m in enumerate(moduli) if i != j], axis=0)
+               for j in range(len(zeros)))
+
+
+def _zeros(count, origin):
+    """``count`` seeded zeros with |a| < 0.95, ``origin`` of them (from the first) at 0."""
+    rng = np.random.default_rng(count)
+    radii = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, count))
+    zeros = [complex(a) for a in radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))]
+    step = max(1, count // max(origin, 1))
+    for i in range(origin):
+        zeros[i * step] = 0j
+    return tuple(zeros)
+
+
+CLOSED_FORMS = [
+    (Identity(), identity_reference),
+    (Rotation(0.7), partial(rotation_reference, 0.7)),
+    (MobiusAuto(0.3 - 0.4j, post_rotation=1.1), partial(mobius_reference, 0.3 - 0.4j, 1.1)),
+    (MobiusAuto((1 - 1e-7) * np.exp(0.7j), post_rotation=1.3),
+     partial(mobius_reference, (1 - 1e-7) * np.exp(0.7j), 1.3)),
+    *[(Monomial(k), partial(monomial_reference, k)) for k in range(1, 13)],
+]
+
+
+@pytest.mark.parametrize("n", REFERENCE_SIZES)
+@pytest.mark.parametrize("symbol, reference", CLOSED_FORMS, ids=lambda s: getattr(s, "label", ""))
+def test_inner_type_matches_closed_forms(symbol, reference, n):
+    z = _points(n)
+    value, deriv = reference(z)
+    assert _same_bits(symbol.value(z), value)
+    assert _rel_err(symbol.deriv(z), deriv) <= 1e-14
+
+
+@pytest.mark.parametrize("n", REFERENCE_SIZES)
+@pytest.mark.parametrize("count", range(1, 13))
+def test_inner_type_matches_factor_by_factor_blaschke_product(count, n):
+    z = _points(n)
+    # no zero at the origin, or one leading the list: the factors are multiplied
+    # in the reference's order, so the values keep its bits
+    for origin in (0, 1):
+        zeros = _zeros(count, origin)
+        value, deriv = blaschke_reference(zeros, 0.4, z)
+        symbol = FiniteBlaschke(zeros, post_rotation=0.4)
+        assert _same_bits(symbol.value(z), value)
+        assert _rel_err(symbol.deriv(z), deriv, _product_rule_scale(zeros, z)) <= 1e-14
+    # several zeros at the origin enter as one power z^m, not as m factors -z
+    zeros = _zeros(count, (count + 1) // 2)
+    value, deriv = blaschke_reference(zeros, 0.4, z)
+    symbol = FiniteBlaschke(zeros, post_rotation=0.4)
+    assert _rel_err(symbol.value(z), value) <= 1e-14
+    assert _rel_err(symbol.deriv(z), deriv, _product_rule_scale(zeros, z)) <= 1e-14
+
+
+def test_describe_keeps_each_spelling():
+    built = [Identity(), Rotation(0.7), MobiusAuto(0.3 - 0.4j, post_rotation=1.1), Monomial(5),
+             FiniteBlaschke((0.3j, -0.2, 0.1 + 0.1j), post_rotation=0.4),
+             Polynomial([0.1, 0.2j, -0.3])]
+    assert [s.describe() for s in built] == [
+        "identity", "rotation(0.7)", "mobius(a=0.3-0.4j, rot=1.1)", "z^5",
+        "blaschke([0+0.3j,-0.2+0j,0.1+0.1j], rot=0.4)", "poly([0.1+0j,0+0.2j,-0.3+0j])",
+    ]
+    specs = [
+        {"type": "identity"},
+        {"type": "rotation", "angle": 1},
+        {"type": "mobius", "a": {"re": 0.5}},
+        {"type": "monomial", "k": 2.0},
+        {"type": "blaschke", "zeros": [0, {"re": -0.25, "im": 1e-3}], "post_rotation": 2.5},
+        {"type": "poly", "coeffs": [0.5, {"im": 0.5}]},
+    ]
+    assert [symbol_from_spec(spec).describe() for spec in specs] == [
+        "identity", "rotation(1)", "mobius(a=0.5+0j, rot=0)", "z^2",
+        "blaschke([0+0j,-0.25+0.001j], rot=2.5)", "poly([0.5+0j,0+0.5j])",
+    ]
