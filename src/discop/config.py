@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError, ParamError
 from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params
+from .operators import _BLOCK
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
 from .symbols import Blaschke, FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation
@@ -113,11 +114,25 @@ def _fits(need, where):
                           "above physical memory", field=where)
 
 
-def _spectrum_bytes(q: QuadratureSettings, refine=0):
-    """8 (m//2 + 1) n_rad^2: the kernel spectrum of the last ladder level."""
-    # 64 factor steps put any rule past any memory, so the power stops there
+def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
+    """Bytes of the largest arrays a command builds on its quadrature ladder.
+
+    equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level;
+    norm: the rule's nodes and weights, 24 n_rad m, at the last level;
+    bound-check: those, or the pair engine's two 512 x N float blocks on its
+    base rule of N nodes, whichever is larger.
+    """
+    # 64 factor steps put any rule past any memory, so the powers stop there
+    base = q.refinement_factor ** min(refine, 64)
     top = q.refinement_factor ** min(refine + q.max_refinements, 64)
-    return 8 * (q.angular_count * top // 2 + 1) * (q.radial_count * top) ** 2
+    n_rad, m = q.radial_count * top, q.angular_count * top
+    if command == "equivalence":
+        return 8 * (m // 2 + 1) * n_rad**2
+    need = 24 * n_rad * m
+    if command == "bound-check":
+        nodes = q.radial_count * q.angular_count * base**2
+        need = max(need, 16 * min(_BLOCK, nodes) * nodes)
+    return need
 
 
 #: per symbol type: the constructor, then each field with its reader and
@@ -306,7 +321,7 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
 
     # the sizes are checked before anything is built
     quadrature = _settings_from(obj.get("quadrature"), QuadratureSettings, "quadrature")
-    _fits(_spectrum_bytes(quadrature), "quadrature")
+    _fits(_quadrature_bytes(cfg_command, quadrature), "quadrature")
     sup_search = _settings_from(obj.get("sup_search"), SupSearchSettings, "sup_search")
     _fits(16 * sup_search.initial_grid**2, "sup_search.initial_grid")
     selfmap_grid = _integer(obj.get("selfmap_grid", 1024), "selfmap_grid")
@@ -349,9 +364,10 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
     """CLI-level overrides: output directory, pre-refinement steps, RNG seed.
 
     ``refine`` multiplies the base quadrature counts by refinement_factor^k
-    (the sup-search grid is left alone; it refines itself), unless the last
-    level's kernel spectrum then exceeds physical memory.  A command that
-    does not read what a flag sets refuses the flag (a zero refine is none).
+    (the sup-search grid is left alone; it refines itself), unless what the
+    command builds on the refined ladder then exceeds physical memory.  A
+    command that does not read what a flag sets refuses the flag (a zero
+    refine is none).
     """
     for flag, value, key in (("--refine", refine or None, "quadrature"),
                              ("--seed", seed, "sup_search")):
@@ -363,7 +379,7 @@ def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> 
         config = replace(config, out_dir=str(out_dir))
     if refine:
         q = config.quadrature
-        _fits(_spectrum_bytes(q, int(refine)), "--refine")
+        _fits(_quadrature_bytes(config.command, q, int(refine)), "--refine")
         scale = q.refinement_factor**int(refine)
         config = replace(
             config,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln
 
 from ._numutil import powq
 from .errors import ConvergenceError, ParamError
@@ -125,6 +124,8 @@ def dirichlet_norm_sq_coeff(s: TruncatedPowerSeries, p: float) -> NormResult:
     sum_{n>=1} n^2 |a_n|^2 B(n, p+1), with B the Beta function; the n-th term
     is the weighted moment of |z|^{2(n-1)} hit by the derivative coefficient.
     """
+    from scipy.special import betaln  # loaded by the first norm, not by import discop
+
     if p < 0:
         raise ParamError(f"radial weight exponent must be >= 0, got {p:g}")
     n = np.arange(1, len(s.coeffs))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, ParamError
 
@@ -31,6 +30,8 @@ from .errors import ConvergenceError, ParamError
 @lru_cache(maxsize=256)
 def _jacobi_01(sigma: float, n_rad: int):
     """Nodes/weights for int_0^1 (1-t)^sigma h(t) dt on (0,1)."""
+    from scipy.special import roots_jacobi  # loaded by the first rule, not by import discop
+
     x, w = roots_jacobi(n_rad, sigma, 0.0)
     t = 0.5 * (x + 1.0)
     wt = w * 0.5 ** (sigma + 1.0)

@@ -749,7 +749,7 @@ def test_cli_refuses_refine_beyond_physical_memory(tmp_path, capsys, monkeypatch
 def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
     cfg = parse_config(
         {
-            "command": "norm",
+            "command": "equivalence",
             "family": "monomials:1..2",
             "params": {"sigma": 1.0, "beta": 0.5},
             "quadrature": {"radial_count": 8, "angular_count": 16, "max_refinements": 1},
@@ -811,7 +811,7 @@ def test_cli_refuses_sizes_beyond_physical_memory_before_allocating(
 
 def test_config_quadrature_bound_is_the_last_level_kernel_spectrum(monkeypatch):
     config = {
-        "command": "norm",
+        "command": "equivalence",
         "family": "monomials:1..2",
         "params": {"sigma": 1.0, "beta": 0.5},
         "quadrature": {"radial_count": 64, "angular_count": 256, "max_refinements": 2},
@@ -821,6 +821,53 @@ def test_config_quadrature_bound_is_the_last_level_kernel_spectrum(monkeypatch):
     monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
     assert parse_config(config).quadrature.radial_count == 64
     monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert info.value.field == "quadrature"
+
+
+def _memory(monkeypatch, size):
+    monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}.get)
+
+
+def test_bound_check_quadrature_bound_is_the_pair_engine_blocks(monkeypatch):
+    config = {
+        "command": "bound-check",
+        "symbol": {"type": "monomial", "k": 2},
+        "family": "monomials:1..2",
+        "params": {"sigma": 1.0, "beta": 0.5},
+        "quadrature": {"radial_count": 8, "angular_count": 2**17},
+    }
+    # two 512 x N float blocks on the 2^20-node base rule: 8.6 GB, far above
+    # the kernel spectrum (2.1 GB) that bound-check never builds
+    need = 2 * 8 * 512 * 2**20
+    _memory(monkeypatch, need)
+    assert parse_config(config).quadrature.angular_count == 2**17
+    _memory(monkeypatch, need - 1)
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert info.value.field == "quadrature"
+    # --refine sizes the blocks on the refined base rule
+    small = dict(config, quadrature={"radial_count": 8, "angular_count": 2**15})
+    _memory(monkeypatch, need - 1)
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(parse_config(small), refine=1)
+    assert info.value.field == "--refine"
+
+
+def test_norm_quadrature_bound_is_its_rule_arrays(monkeypatch):
+    config = {
+        "command": "norm",
+        "family": "monomials:1..2",
+        "params": {"sigma": 1.0, "beta": 0.5},
+        "quadrature": {"radial_count": 512, "angular_count": 2048},
+    }
+    # nodes and weights of the last rule, 2048 x 8192; the kernel spectrum of
+    # that rule (2^37 bytes) is never built by norm
+    need = 24 * 2048 * 8192
+    _memory(monkeypatch, need)
+    assert parse_config(config).quadrature.radial_count == 512
+    _memory(monkeypatch, need - 1)
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert info.value.field == "quadrature"

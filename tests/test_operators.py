@@ -147,6 +147,36 @@ def test_rank_mobius_closed_form_minimum():
     assert report.verdict is RankVerdict.PASS
 
 
+@pytest.mark.parametrize("modulus", [0.5, 0.9, 1 - 1e-5, 1 - 1e-7])
+@pytest.mark.parametrize("arg, rotation", [(0.7, 0.3), (2.0001, -1.1), (-1.234567, 2.5)])
+def test_rank_mobius_polished_minimum_off_the_scan_grid(modulus, arg, rotation):
+    # min |phi'| = (1-|a|)/(1+|a|) at -a/|a|; the numerator is written 1 - |a|^2 as the
+    # symbol rounds it, since near the circle that rounding alone exceeds 1e-14
+    a = modulus * np.exp(1j * arg)
+    expected = (1.0 - abs(a) ** 2) / (1.0 + abs(a)) ** 2
+    report = rank_sufficiency_check(MobiusAuto(a, rotation))
+    assert report.min_deriv_modulus == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [(0.5, -0.3 + 0.2j, 0.7j),
+     (0.8 * np.exp(0.3j), 0.6 * np.exp(2.1j), 0.9 * np.exp(4.0j), -0.2 + 0.1j)],
+)
+def test_rank_blaschke_polished_minimum_matches_dense_grid(zeros):
+    def dmod(t):
+        z = np.exp(1j * t)
+        return sum((1.0 - abs(a) ** 2) / np.abs(z - a) ** 2 for a in zeros)
+
+    # a 2^16-angle grid, then 2^14 + 1 angles across its best point's neighbours
+    step = 2 * np.pi / 2**16
+    coarse = step * np.arange(2**16)
+    best = coarse[np.argmin(dmod(coarse))]
+    expected = float(np.min(dmod(best + step * np.linspace(-1.0, 1.0, 2**14 + 1))))
+    report = rank_sufficiency_check(FiniteBlaschke(zeros, 0.4))
+    assert report.min_deriv_modulus == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 def test_rank_contact_polynomial():
     poly = verify_self_map(Polynomial([0.5, 0.5])).symbol
     report = rank_sufficiency_check(poly)
