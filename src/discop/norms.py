@@ -172,16 +172,18 @@ def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int)
     """Read-only real spectrum of the pairwise kernel, (m//2 + 1, n_rad, n_rad) floats.
 
     Built one z radius at a time: half-angle kernel, mirrored, one real FFT per radius pair.
+    Stored in (i, k, j) order and returned as its (k, i, j) view, so every mode's slab of
+    z radii has unit stride over the w radii and its products go through BLAS.
     """
     m, h = n_ang, n_ang // 2 + 1
     r_z, r_w = (np.sqrt(_jacobi_01(float(s), int(n_rad))[0]) for s in (sigma, tau))
     cos_h = np.cos(2.0 * np.pi * np.arange(h) / m)
-    spectrum = np.empty((n_rad, n_rad, h))
+    spectrum = np.empty((n_rad, h, n_rad))
     for i, x in enumerate(r_z[:, None] * r_w):
         half = 1.0 / powq(1.0 - 2.0 * x[:, None] * cos_h + (x**2)[:, None], q)
-        spectrum[i] = np.fft.rfft(np.concatenate([half, half[:, m - h:0:-1]], axis=1)).real
+        spectrum[i] = np.fft.rfft(np.concatenate([half, half[:, m - h:0:-1]], axis=1)).real.T
     spectrum.setflags(write=False)
-    return spectrum.transpose(2, 0, 1)
+    return spectrum.transpose(1, 0, 2)
 
 
 def pairwise_difference_integral(
@@ -199,18 +201,21 @@ def pairwise_difference_integral(
     of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real, even and
     blind to f, so :func:`_kernel_spectrum` builds it once per (sigma, tau, q,
     rule) and a family shares it.  Modes k and m-k share Khat_k and fold into
-    four real channels; each radial block is one batched matrix product.  This
-    is the same nodal sum as a direct sum over all node pairs, reassociated.
+    four real channels; each radial block is one batched matrix product, which
+    the spectrum's unit-stride slabs hand to BLAS.  When sigma = tau both sides
+    are one rule, so f is evaluated and transformed once.  This is the same
+    nodal sum as a direct sum over all node pairs, reassociated.
 
     |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
     the value at the first z node: a constant then gives exactly 0, and an f
     close to a constant does not cancel in the expanded square.
     """
+    same = sigma == tau  # one rule: f, its channels and its weights serve both sides
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
-    rule_w = build_disc_rule(tau, n_rad, n_ang)
+    rule_w = rule_z if same else build_disc_rule(tau, n_rad, n_ang)
     m = n_ang
     fz = np.asarray(value_fn(rule_z.nodes), dtype=complex).reshape(n_rad, m)
-    fw = np.asarray(value_fn(rule_w.nodes), dtype=complex).reshape(n_rad, m)
+    fw = fz if same else np.asarray(value_fn(rule_w.nodes), dtype=complex).reshape(n_rad, m)
     if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(fw))):
         raise ConvergenceError("integrand is non-finite at a quadrature node")
     fz, fw = fz - fz[0, 0], fw - fz[0, 0]
@@ -224,7 +229,8 @@ def pairwise_difference_integral(
         chans = [spec[:, :h].real, spec[:, :h].imag, back.real, back.imag]
         return np.ascontiguousarray(np.stack(chans).T)
 
-    chan_z, chan_w = channels(fz, rule_z.radial_w), channels(fw, rule_w.radial_w)
+    chan_z = channels(fz, rule_z.radial_w)
+    chan_w = chan_z if same else channels(fw, rule_w.radial_w)
     sq_z = np.stack([rule_z.radial_w * np.mean(np.abs(fz) ** 2, axis=1), rule_z.radial_w], 1)
     sq_w = np.stack([rule_w.radial_w, rule_w.radial_w * np.mean(np.abs(fw) ** 2, axis=1)], 1)
     spectrum = _kernel_spectrum(sigma, tau, q, n_rad, m)

@@ -58,8 +58,8 @@ class Blaschke:
             raise ParamError("a Blaschke product needs at least one zero, all with |a| < 1")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "_origin", zeros.count(0))
-        # per factor off the origin: a, conj(a) and the numerator |a|^2 - 1 of its derivative
-        factors = tuple((a, np.conj(a), abs(a) ** 2 - 1.0) for a in zeros if a)
+        # per factor off the origin: a, conj(a) and its derivative's numerator |a|^2 - 1, uncancelled
+        factors = tuple((a, np.conj(a), -(1.0 - abs(a)) * (1.0 + abs(a))) for a in zeros if a)
         object.__setattr__(self, "_factors", factors)
 
     def value(self, z):

@@ -214,7 +214,7 @@ def mobius_reference(a, post_rotation, z):
     z = np.asarray(z, dtype=complex)
     unit = np.exp(1j * post_rotation)
     return (unit * (a - z) / (1.0 - np.conj(a) * z),
-            unit * (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2)
+            unit * -(1.0 - abs(a)) * (1.0 + abs(a)) / (1.0 - np.conj(a) * z) ** 2)
 
 
 def monomial_reference(k, z):
@@ -227,11 +227,12 @@ def blaschke_reference(zeros, post_rotation, z):
     value = np.full_like(z, np.exp(1j * post_rotation))
     for a in zeros:
         value = value * (a - z) / (1.0 - np.conj(a) * z)
-    # product rule: each factor's derivative (|a|^2 - 1)/(1 - conj(a) z)^2 times the others
+    # product rule: each factor's derivative (|a|^2 - 1)/(1 - conj(a) z)^2 times the others;
+    # the numerator as -(1 - |a|)(1 + |a|), which does not cancel near the circle
     factors = [(a - z) / (1.0 - np.conj(a) * z) for a in zeros]
     deriv = np.zeros_like(z)
     for j, a in enumerate(zeros):
-        dj = (abs(a) ** 2 - 1.0) / (1.0 - np.conj(a) * z) ** 2
+        dj = -(1.0 - abs(a)) * (1.0 + abs(a)) / (1.0 - np.conj(a) * z) ** 2
         rest = np.full_like(z, 1.0 + 0.0j)
         for m, f in enumerate(factors):
             if m != j:

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import discop
+from discop.config import _quadrature_bytes
 from discop.errors import ConvergenceError, ParamError
 from discop.norms import (
     _kernel_spectrum,
@@ -245,16 +246,20 @@ def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
     assert flat == 0.0
 
 
+#: (sigma, tau, q, n_rad, n_ang): two or more radial blocks each; sigma = tau shares one rule
+_BLAS_CASES = [(1.5, 0.6, 5.8, 32, 64), (1.0, 1.0, 5.0, 64, 256), (1.0, 1.0, 5.0, 128, 512),
+               (1.5, 0.6, 5.8, 64, 256)]
+
+
 def _pairwise_bits():
-    # 32 radii: two radial blocks
-    value = pairwise_difference_integral(
-        lambda z: _QUINTIC.value(z), 1.5, 0.6, 5.8, 32, 64
+    return " ".join(
+        pairwise_difference_integral(lambda z: _QUINTIC.value(z), *case).hex()
+        for case in _BLAS_CASES
     )
-    return value.hex()
 
 
 def test_pairwise_independent_of_blas_threads():
-    """Single-threaded BLAS in a fresh process gives the same bits."""
+    """Single-threaded BLAS in a fresh process gives the same bits (the products use BLAS)."""
     paths = [os.path.dirname(os.path.dirname(discop.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(paths))
@@ -263,6 +268,39 @@ def test_pairwise_independent_of_blas_threads():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.strip() == _pairwise_bits()
+
+
+@pytest.mark.parametrize(
+    "n_rad, n_ang, sigma, tau, q, bits",
+    [
+        (32, 128, 1.0, 1.0, 5.0, "0x1.f74d49f2b7314p-1"),
+        (32, 128, 1.5, 0.6, 5.8, "0x1.be0d03d32f133p+0"),
+        (64, 256, 1.0, 1.0, 5.0, "0x1.f79a46ae374d8p-1"),
+        (64, 256, 1.5, 0.6, 5.8, "0x1.bde8f38b1257ep+0"),
+        (128, 512, 1.0, 1.0, 5.0, "0x1.f7a9e43b45b53p-1"),
+        (128, 512, 1.5, 0.6, 5.8, "0x1.bcfb3820158b9p+0"),
+    ],
+)
+def test_pairwise_frozen_bits_and_one_evaluation_per_rule(n_rad, n_ang, sigma, tau, q, bits):
+    # bits of the strided-product form with a rule per side; sigma = tau evaluates f once
+    calls = []
+
+    def value_fn(z):
+        calls.append(z.size)
+        return _QUINTIC.value(z)
+
+    assert pairwise_difference_integral(value_fn, sigma, tau, q, n_rad, n_ang).hex() == bits
+    assert calls == [n_rad * n_ang] * (1 if sigma == tau else 2)
+
+
+@pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.0, 1.0, 16, 64), (1.5, 0.6, 8, 30)])
+def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad, n_ang):
+    spectrum = _kernel_spectrum(sigma, tau, 5.8, n_rad, n_ang)
+    assert spectrum.shape == (n_ang // 2 + 1, n_rad, n_rad)
+    assert all(spectrum[k].strides[-1] == spectrum.itemsize for k in range(spectrum.shape[0]))
+    ladder = QuadratureSettings(radial_count=n_rad // 2, angular_count=n_ang // 2,
+                                max_refinements=1)
+    assert spectrum.nbytes == _quadrature_bytes("equivalence", ladder)
 
 
 @pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.5, 0.6, 32, 64), (1.0, 0.3, 5, 7)])

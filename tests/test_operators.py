@@ -150,10 +150,9 @@ def test_rank_mobius_closed_form_minimum():
 @pytest.mark.parametrize("modulus", [0.5, 0.9, 1 - 1e-5, 1 - 1e-7])
 @pytest.mark.parametrize("arg, rotation", [(0.7, 0.3), (2.0001, -1.1), (-1.234567, 2.5)])
 def test_rank_mobius_polished_minimum_off_the_scan_grid(modulus, arg, rotation):
-    # min |phi'| = (1-|a|)/(1+|a|) at -a/|a|; the numerator is written 1 - |a|^2 as the
-    # symbol rounds it, since near the circle that rounding alone exceeds 1e-14
+    # min |phi'| = (1-|a|)/(1+|a|) at -a/|a|, exact to rounding up to |a| = 1 - 1e-7
     a = modulus * np.exp(1j * arg)
-    expected = (1.0 - abs(a) ** 2) / (1.0 + abs(a)) ** 2
+    expected = (1.0 - abs(a)) / (1.0 + abs(a))
     report = rank_sufficiency_check(MobiusAuto(a, rotation))
     assert report.min_deriv_modulus == pytest.approx(expected, rel=1e-14, abs=0.0)
 
