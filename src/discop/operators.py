@@ -19,8 +19,12 @@ the squared bidisc Bergman norm of the lift is, node for node, the pairwise
 double-integral functional with kernel exponent q = 2*(beta + 2).
 ``lift_norm_check`` sums it with the composed pair engine (identity symbol)
 and evaluates both routes on a shared refinement ladder, so the identity can
-be asserted at round-off level.  The engine works in Gram form: per block of
-rows, one rank-4 product for the kernel and one product for all members.
+be asserted at round-off level.  The engine works in Gram form, one product
+for all members.  For phi = c z^m (the identity among them) the kernel
+depends on the radii and the angle difference only, so the engine computes
+one kernel row per radius; other symbols take the upper-triangle route.
+Both are direct node-pair sums (no FFT), so the lift's route identity still
+compares two different summations.
 
 The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
@@ -37,6 +41,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._numutil import abs_sq, powq
 from .errors import ConvergenceError, ParamError
@@ -56,6 +61,8 @@ from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
 #: chain, and the block corner's zeroed part (the lower triangle and diagonal)
 _BLOCK, _TILE = 512, 16
 _LOWER = np.tri(_BLOCK, dtype=bool)
+#: rotation-invariant route: workspace columns, and pair x member elements per predicate chunk
+_COLS, _PAIR_CHUNK = 128, 1 << 16
 #: largest relative gap between the lift's two routes on one rule
 _ROUTE_TOL = 1e-8
 #: rank scan: boundary grid size, the |phi| band counted as contact, and the
@@ -117,11 +124,8 @@ def lift_norm_check(
     # Bergman route: direct pair summation of the squared lift modulus (the
     # lift exponent is q/2, so the squared modulus carries the kernel power
     # q); structurally this is the composed pass with the identity symbol.
-    identity = Identity()
-
     def l_eval(n_rad, n_ang):
-        (value,), _, _ = _composed_pair_sums([f.value], identity, sigma, q, n_rad, n_ang)
-        return value
+        return _composed_pair_sums([f.value], Identity(), sigma, q, n_rad, n_ang)[0][0]
 
     n_rad, n_ang = settings.radial_count, settings.angular_count
     d_val, l_val = d_eval(n_rad, n_ang), l_eval(n_rad, n_ang)
@@ -152,17 +156,11 @@ def lift_norm_check(
         )
     dirichlet = dirichlet_norm_sq_coeff(f, params.p_dirichlet)
     return LiftNormCheck(
-        bergman_sq=NormResult(
-            value_sq=max(l_val, 0.0),
-            rel_error_estimate=change,
-            trace=tuple(l_trace),
-        ),
+        bergman_sq=NormResult(value_sq=max(l_val, 0.0), rel_error_estimate=change,
+                              trace=tuple(l_trace)),
         dirichlet_sq=dirichlet,
-        double_integral_sq=NormResult(
-            value_sq=max(d_val, 0.0),
-            rel_error_estimate=change,
-            trace=tuple(d_trace),
-        ),
+        double_integral_sq=NormResult(value_sq=max(d_val, 0.0), rel_error_estimate=change,
+                                      trace=tuple(d_trace)),
         route_gap=route_gap,
     )
 
@@ -303,25 +301,18 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     """One rule-level pass of the composed pairwise integral for a family.
 
     Computes, for every F = f(phi) with f in the family,
-    iint |F(z)-F(w)|^2 / |1 - conj(phi(w)) phi(z)|^q dA_sigma^2.  The
-    integrand is symmetric in the node pair and its diagonal vanishes, so only
-    the strict upper triangle is summed (with doubled weight), in fixed row
-    blocks.  The sum is taken in Gram form.  V holds F minus its value at the
-    first node, which |F_i - F_j|^2 does not see (a constant gives exactly 0
-    and an F close to a constant does not cancel).  Each block's squared
-    kernel is one rank-4 product, D is its elementwise 1/(.)^(q/2), and one
-    product P = D @ (w * [1, |V|^2, Re V, Im V]) serves every member:
+    iint |F(z)-F(w)|^2 / |1 - conj(phi(w)) phi(z)|^q dA_sigma^2 as a direct
+    node-pair sum in Gram form.  V holds F minus its value at the first node,
+    which |F_i - F_j|^2 does not see (a constant gives exactly 0 and an F
+    close to a constant does not cancel).  With D the reciprocal kernel power,
+    zero on the diagonal (where the integrand vanishes), one product
+    P = D @ (w * [1, |V|^2, Re V, Im V]) serves every member:
 
         sum_j D_ij w_j |V_i - V_j|^2 = |V_i|^2 P_i0 + P_i,|V|^2 - 2 Re(conj(V_i) P_i,V).
 
-    The products write into workspaces allocated once per call: the kernel
-    block, a second block for the plain kernel when sup_q is given, and a tile
-    for powq's work.  The elementwise chain (screen, in-place powq, reciprocal,
-    zeroed corner) runs over row tiles that stay in cache.  The products and
-    the elementwise results are those of fresh arrays, so the bits are too.
-    At some node counts (648, 679 and 720 among them) the BLAS library rounds
-    a product differently at 1 and 2 threads, so the last bits follow the
-    thread count there, with or without the workspaces.
+    phi = c z^m (a Blaschke product with every zero at the origin) takes the
+    rotation-invariant route, one kernel row per radius; every other symbol
+    the general one, the strict upper triangle in row blocks.
 
     With ``sup_q`` given, the same pass counts for every member the node pairs
     violating the majorization  plain-kernel integrand <= sup_q * composed
@@ -344,16 +335,42 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     v = f_vals - f_vals[0]
     v_sq = abs_sq(v)
     rhs = weights[:, None] * np.hstack([np.ones((total, 1)), v_sq, v.real, v.imag])
+    # the exact predicate runs on the pairs above this threshold only; its
+    # slack covers the round-off of the powers and the predicate's divisions
+    threshold = None if sup_q is None else (
+        (sup_q * (1.0 + VIOLATION_REL_TOL)) ** (2.0 / q) * (1.0 - 1e-12))
+    violations = np.zeros(count, dtype=int)
+    args = (q, rhs, f_vals, sup_q, threshold, violations)
+    if isinstance(symbol, Blaschke) and not any(symbol.zeros):
+        p, scale = _monomial_products(nodes, n_ang, len(symbol.zeros), *args), 1.0
+    else:
+        p, scale = _upper_triangle_products(nodes, phi_vals, *args), 2.0
+    parts = []
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        vb, pb = v[lo:hi], p[lo:hi]
+        cross = vb.real * pb[:, 1 + count : 1 + 2 * count] + vb.imag * pb[:, 1 + 2 * count :]
+        term = v_sq[lo:hi] * pb[:, :1] + pb[:, 1 : 1 + count] - 2.0 * cross
+        parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
+    values = [scale * float(x) for x in np.sum(np.asarray(parts), axis=0)]
+    return values, None if sup_q is None else violations.tolist(), total**2
+
+
+def _upper_triangle_products(nodes, phi_vals, q, rhs, f_vals, sup_q, threshold, violations):
+    """P over the strict upper triangle (the integrand is symmetric), in row blocks.
+
+    Each block's squared kernel is one rank-4 product into a workspace reused
+    across blocks (a second one holds the plain kernel when sup_q is given);
+    the screen, powq, reciprocal and zeroed corner run over row tiles that
+    stay in cache.  At some node counts (648, 679 and 720 among them) the
+    BLAS library rounds these products differently at 1 and 2 threads.
+    """
+    total, p = len(nodes), np.empty(rhs.shape)
     comp_left, comp_right = _kernel_sq_factors(phi_vals)
-    if sup_q is not None:
-        plain_left, plain_right = _kernel_sq_factors(nodes)
-        # the exact predicate runs on the pairs above this threshold only; its
-        # slack covers the round-off of the powers and the predicate's divisions
-        threshold = (sup_q * (1.0 + VIOLATION_REL_TOL)) ** (2.0 / q) * (1.0 - 1e-12)
+    plain_left, plain_right = _kernel_sq_factors(nodes)
     block = np.empty(min(_BLOCK, total) * total)
     plain_block = np.empty(block.size if sup_q is not None else 0)
     tile = np.empty(2 * _TILE * total)
-    parts, violations = [], np.zeros(count, dtype=int)
     for lo in range(0, total, _BLOCK):
         hi, cols = min(lo + _BLOCK, total), total - lo
         rows = hi - lo
@@ -381,13 +398,68 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
                     violations += 2 * np.count_nonzero(bad, axis=0)
             np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
             comp_sq[:, :s][lower] = 0.0
-        p = kernel @ rhs[lo:]
-        vb = v[lo:hi]
-        cross = vb.real * p[:, 1 + count : 1 + 2 * count] + vb.imag * p[:, 1 + 2 * count :]
-        term = v_sq[lo:hi] * p[:, :1] + p[:, 1 : 1 + count] - 2.0 * cross
-        parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
-    values = [2.0 * float(x) for x in np.sum(np.asarray(parts), axis=0)]
-    return values, None if sup_q is None else violations.tolist(), total**2
+        p[lo:hi] = kernel @ rhs[lo:]
+    return p
+
+
+def _monomial_products(nodes, n_ang, m, q, rhs, f_vals, sup_q, threshold, violations):
+    """P for phi = c z^m, |c| = 1, from one kernel table row per radius.
+
+    |1 - phi(z) conj(phi(w))|^2 = |1 - (z conj(w))^m|^2 depends on the radii
+    and the angle difference only.  Row i of D holds the kernel between the
+    (real) angle-0 node r_i and every node (j, d); node (i, a) has it rolled
+    by a, so P[(i, a)] = sum_{j,d} D[i, (j, d)] rhs[(j, (a + d) mod M)] over
+    the full square: BLAS products of D with rolled copies of rhs, copied into
+    one workspace per chunk of angles.  A screened entry stands for the pairs
+    ((i, a), (j, (a + d) mod M)); with i < j, or i = j and 0 < d <= M/2, each
+    unordered pair is met once.  For m = 1 plain and composed are one table.
+    """
+    total, count, n_rad, cols = len(nodes), f_vals.shape[1], len(nodes) // n_ang, rhs.shape[1]
+    plain_left, plain_right = _kernel_sq_factors(nodes)
+    comp_left, comp_right = (plain_left, plain_right) if m == 1 else _kernel_sq_factors(nodes**m)
+    plain_left, comp_left = plain_left[::n_ang], comp_left[::n_ang]
+    # sliding windows over the wrapped angles: [j, a, c, d] and [j, k, d, a]
+    # hold rhs and F_k at node (j, (a + d) mod M)
+    rhs_ring = rhs.reshape(n_rad, n_ang, cols)
+    rhs_rolled = sliding_window_view(np.concatenate([rhs_ring, rhs_ring[:, :-1]], 1), n_ang, axis=1)
+    f_ring = np.ascontiguousarray(f_vals.reshape(n_rad, n_ang, count).transpose(0, 2, 1))
+    f_rolled = sliding_window_view(np.concatenate([f_ring, f_ring[..., :-1]], 2), n_ang, axis=2)
+    per, chunk = min(n_ang, max(1, _COLS // cols)), max(1, _PAIR_CHUNK // (count * n_ang))
+    # no array exceeds the general route's: blocks of at most _BLOCK radii
+    workspace = np.empty(total * per * cols)
+    table, tile = np.empty(min(_BLOCK, n_rad) * total), np.empty(3 * _TILE * total)
+    p = np.empty((n_rad, n_ang, cols))
+    for r0 in range(0, n_rad, _BLOCK):
+        r1 = min(r0 + _BLOCK, n_rad)
+        d_blk = table[: (r1 - r0) * total].reshape(r1 - r0, total)
+        for t0 in range(r0, r1, _TILE):
+            t1 = min(t0 + _TILE, r1)
+            work = tile[: 3 * (t1 - t0) * total].reshape(3, t1 - t0, total)
+            comp_sq = np.matmul(comp_left[t0:t1], comp_right, out=d_blk[t0 - r0 : t1 - r0])
+            if sup_q is not None:
+                plain_sq = comp_sq if m == 1 else np.matmul(
+                    plain_left[t0:t1], plain_right, out=work[2])
+                ti, col = np.nonzero(np.divide(comp_sq, plain_sq, out=work[0]) > threshold)
+                i, (j, d) = ti + t0, np.divmod(col, n_ang)
+                keep = (j > i) | ((j == i) & (d > 0) & (2 * d <= n_ang))
+                ti, col, i, j, d = ti[keep], col[keep], i[keep], j[keep], d[keep]
+                cand_comp = powq(comp_sq[ti, col], q)[:, None, None]
+                cand_plain = cand_comp if m == 1 else powq(plain_sq[ti, col], q)[:, None, None]
+                twice = 2 - ((j == i) & (2 * d == n_ang))  # d = M/2 on a ring meets a pair twice
+                for s in range(0, len(i), chunk):
+                    e = s + chunk
+                    num = abs_sq(f_ring[i[s:e]] - f_rolled[j[s:e], :, d[s:e]])
+                    bad = num / cand_plain[s:e] > sup_q * (num / cand_comp[s:e]) * (
+                        1.0 + VIOLATION_REL_TOL)
+                    violations += twice[s:e] @ np.count_nonzero(bad, axis=2)
+            np.divide(1.0, powq(comp_sq, q, work[:2]), out=comp_sq)
+        d_blk[np.arange(r1 - r0), np.arange(r0, r1) * n_ang] = 0.0
+        for a0 in range(0, n_ang, per):
+            a1 = min(a0 + per, n_ang)
+            rolled = workspace[: total * (a1 - a0) * cols].reshape(n_rad, n_ang, a1 - a0, cols)
+            np.copyto(rolled, rhs_rolled[:, a0:a1].transpose(0, 3, 1, 2))
+            p[r0:r1, a0:a1] = (d_blk @ rolled.reshape(total, -1)).reshape(r1 - r0, a1 - a0, cols)
+    return p.reshape(total, cols)
 
 
 def bound_check(
@@ -442,22 +514,10 @@ def bound_check(
     for label, (comp_norm, ratio), coarse, base, bad in zip(
         labels, norms, eq_coarse, eq_base, violations
     ):
-        eq6 = NormResult(
-            value_sq=max(base, 0.0),
-            rel_error_estimate=_rel_change(base, coarse),
-            trace=(
-                (coarse_rad, coarse_ang, coarse),
-                (settings.radial_count, settings.angular_count, base),
-            ),
-        )
-        rows.append(
-            BoundCheckRow(
-                label=label,
-                comp_norm_sq=comp_norm,
-                eq_intermediate_sq=eq6,
-                ratio=ratio,
-                violations=bad,
-                nodes_checked=checked,
-            )
-        )
+        trace = ((coarse_rad, coarse_ang, coarse),
+                 (settings.radial_count, settings.angular_count, base))
+        eq6 = NormResult(value_sq=max(base, 0.0), rel_error_estimate=_rel_change(base, coarse),
+                         trace=trace)
+        rows.append(BoundCheckRow(label=label, comp_norm_sq=comp_norm, eq_intermediate_sq=eq6,
+                                  ratio=ratio, violations=bad, nodes_checked=checked))
     return BoundCheckReport(rows=tuple(rows), sup=sup, sup_power_q=sup_q)

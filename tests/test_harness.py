@@ -885,6 +885,22 @@ def test_bundled_config_runs_through_cli(tmp_path, capsys, path):
     capsys.readouterr()
 
 
+def test_cli_bound_check_rotation_has_no_pointwise_violations(tmp_path, capsys):
+    """A rotation's plain and composed kernels are one table, so the round-off
+    near the diagonal cannot read as a failed majorization (sup = 1)."""
+    path = _write_config(tmp_path, "rotation.json", {
+        "command": "bound-check",
+        "symbol": {"type": "rotation", "angle": 0.7},
+        "family": "monomials:1..4",
+        "params": {"sigma": 1.0, "beta": 0.5},
+    })
+    assert cli_main(["bound-check", "--config", path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["quantity"] == "pointwise_violations"]
+    assert [(r["value"], r["verdict"]) for r in rows] == [("0", "Pass")] * 4
+
+
 def _key_paths(obj, prefix=()):
     """Every key path into nested objects and lists, parents first."""
     if isinstance(obj, dict):

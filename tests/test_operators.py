@@ -24,11 +24,13 @@ from discop.operators import (
 from discop.quadrature import QuadratureSettings, build_disc_rule
 from discop.series import TruncatedPowerSeries, coefficients_of
 from discop.symbols import (
+    Blaschke,
     FiniteBlaschke,
     Identity,
     MobiusAuto,
     Monomial,
     Polynomial,
+    Rotation,
     verify_self_map,
 )
 from oracles import V1_SERIES, dirichlet_monomial_sq
@@ -334,36 +336,51 @@ ENGINE_FAMILY = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.
 TWO_BLOCK_RULE = (1.0, 5.0, 10, 64)
 
 
-def _assert_full_matrix_reference(sigma, q, n_rad, n_ang):
-    """The block engine against the plain full-matrix sums, member by member."""
+def _dense_kernels(symbol, sigma, q, n_rad, n_ang):
+    """Weights, phi at the nodes, and the full composed and plain kernel powers."""
     rule = build_disc_rule(sigma, n_rad, n_ang)
-    z, w = rule.nodes, rule.weights
-    u = ENGINE_SYMBOL.value(z)
+    z, u = rule.nodes, symbol.value(rule.nodes)
     den_comp = np.abs(1.0 - u[:, None] * np.conj(u[None, :])) ** q
     den_plain = np.abs(1.0 - z[:, None] * np.conj(z[None, :])) ** q
-    kernel_q = den_comp / den_plain
-    off_diagonal = ~np.eye(len(z), dtype=bool)
-    # far below the true sup^q, and 1e-13 below the ratio of one node pair:
-    # the majorization fails there (inside the engine's round-off slack) and
-    # at every pair with a larger ratio
-    rel_tol = VIOLATION_REL_TOL
-    pivot = np.sort(kernel_q[off_diagonal])[off_diagonal.sum() // 2]
-    sup_q = pivot / ((1.0 + rel_tol) * (1.0 + 1e-13))
+    return rule.weights, u, den_comp, den_plain
+
+
+def _pivot_sup_q(symbol, sigma, q, n_rad, n_ang):
+    """Far below the true sup^q, and 1e-13 below the kernel ratio of one node
+    pair: the majorization fails there (inside the engine's round-off slack)
+    and at every pair with a larger ratio."""
+    _, u, den_comp, den_plain = _dense_kernels(symbol, sigma, q, n_rad, n_ang)
+    off_diagonal = ~np.eye(len(u), dtype=bool)
+    pivot = np.sort((den_comp / den_plain)[off_diagonal])[off_diagonal.sum() // 2]
+    return pivot / ((1.0 + VIOLATION_REL_TOL) * (1.0 + 1e-13))
+
+
+def _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, sup_q):
+    """The engine against the plain full-matrix sums, member by member."""
+    w, u, den_comp, den_plain = _dense_kernels(symbol, sigma, q, n_rad, n_ang)
+    off_diagonal = ~np.eye(len(u), dtype=bool)
     want_values, want_violations = [], []
     for f in ENGINE_FAMILY:
         fv = f.value(u)
         num = np.abs(fv[:, None] - fv[None, :]) ** 2
         want_values.append(float(np.sum(w[:, None] * w[None, :] * num / den_comp)))
-        bad = num / den_plain > sup_q * (num / den_comp) * (1.0 + rel_tol)
-        want_violations.append(int(np.count_nonzero(bad & off_diagonal)))
+        if sup_q is not None:
+            bad = num / den_plain > sup_q * (num / den_comp) * (1.0 + VIOLATION_REL_TOL)
+            want_violations.append(int(np.count_nonzero(bad & off_diagonal)))
 
     values, violations, pairs = _composed_pair_sums(
-        [f.value for f in ENGINE_FAMILY], ENGINE_SYMBOL, sigma, q, n_rad, n_ang, sup_q=sup_q
+        [f.value for f in ENGINE_FAMILY], symbol, sigma, q, n_rad, n_ang, sup_q=sup_q
     )
-    assert pairs == len(z) ** 2
+    assert pairs == len(u) ** 2
     for got, want in zip(values, want_values):
         assert got == pytest.approx(want, rel=1e-12)
-    assert violations == want_violations
+    assert violations == (None if sup_q is None else want_violations)
+    return values, violations
+
+
+def _assert_full_matrix_reference(sigma, q, n_rad, n_ang):
+    sup_q = _pivot_sup_q(ENGINE_SYMBOL, sigma, q, n_rad, n_ang)
+    values, violations = _assert_matches_dense(ENGINE_SYMBOL, sigma, q, n_rad, n_ang, sup_q)
     assert min(violations) > 0
     return values
 
@@ -420,16 +437,21 @@ def _engine_bits():
     return " ".join(float(x).hex() for x in values)
 
 
-def test_composed_pair_sums_independent_of_blas_threads():
-    """Single-threaded BLAS in a fresh process gives the same bits."""
+def _single_threaded(bits_fn):
+    """``test_operators.<bits_fn>()`` run in a fresh process with one BLAS thread."""
     paths = [os.path.dirname(os.path.dirname(discop.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(paths))
     done = subprocess.run(
-        [sys.executable, "-c", "import test_operators; print(test_operators._engine_bits())"],
+        [sys.executable, "-c", f"import test_operators; print(test_operators.{bits_fn}())"],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.strip() == _engine_bits()
+    return done.stdout.strip()
+
+
+def test_composed_pair_sums_independent_of_blas_threads():
+    """Single-threaded BLAS in a fresh process gives the same bits."""
+    assert _single_threaded("_engine_bits") == _engine_bits()
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 5.0, 6.0, 7.0, 14.0, 15.0, 63.0, 5.8])
@@ -476,16 +498,78 @@ def test_composed_pair_sums_at_tile_seam_independent_of_blas_threads():
     assert done.stdout.strip() == _seam_bits()
 
 
-@pytest.mark.parametrize("sup_q, blocks", [(None, 1.5), (2.0, 2.5)])
-def test_composed_pair_sums_memory_is_one_block_per_kernel(sup_q, blocks):
-    """The traced peak of a pass stays near its reused 512 x N workspaces."""
-    n_rad, n_ang = 24, 96
-    block = 512 * n_rad * n_ang * 8
+def _traced_peak(symbol, n_rad, n_ang, sup_q):
     value_fns = [TruncatedPowerSeries([0.0, 1.0, 0.3, -0.2j]).value]
     tracemalloc.start()
     try:
-        _composed_pair_sums(value_fns, Identity(), 1.0, 5.0, n_rad, n_ang, sup_q=sup_q)
-        peak = tracemalloc.get_traced_memory()[1]
+        _composed_pair_sums(value_fns, symbol, 1.0, 5.0, n_rad, n_ang, sup_q=sup_q)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= blocks * block
+
+
+@pytest.mark.parametrize("symbol, sup_q, blocks", [
+    pytest.param(symbol, sup_q, blocks, id=f"{prefix}{sup_q}-{blocks}")
+    for prefix, symbol in (("", Identity()), ("general-", ENGINE_SYMBOL))
+    for sup_q, blocks in ((None, 1.5), (2.0, 2.5))
+])
+def test_composed_pair_sums_memory_is_one_block_per_kernel(symbol, sup_q, blocks):
+    """The traced peak of a pass stays near its reused 512 x N workspaces,
+    on the rotation-invariant route (identity) and the general one."""
+    n_rad, n_ang = 24, 96
+    assert _traced_peak(symbol, n_rad, n_ang, sup_q) <= blocks * 512 * n_rad * n_ang * 8
+
+
+@pytest.mark.parametrize("n_rad, n_ang", [(640, 8), (1280, 4)])
+def test_monomial_route_memory_with_many_radii(n_rad, n_ang):
+    """More than 512 radii: the table is built in blocks of radii, so one
+    pass stays within the general route's bound (a whole table alone is 1.25
+    and 2.5 blocks here)."""
+    block = 512 * n_rad * n_ang * 8
+    assert _traced_peak(Monomial(2), n_rad, n_ang, 2.0) <= 2.5 * block
+
+
+# phi = c z^m: identity, a rotation, a monomial, and a unit != 1 on z^2
+MONOMIAL_ROUTE = [Identity(), Rotation(0.7), Monomial(3),
+                  Blaschke((0j, 0j), complex(np.exp(0.3j)), "unit z^2")]
+
+
+@pytest.mark.parametrize("n_rad, n_ang", [(6, 16), (10, 64), SEAM_RULE[1:]])
+@pytest.mark.parametrize("symbol", MONOMIAL_ROUTE, ids=lambda s: s.label)
+def test_monomial_route_matches_full_matrix_reference(symbol, n_rad, n_ang):
+    """One kernel row per radius gives the dense values and violation counts,
+    without and with a sup_q that some z^3 pairs violate; 97 angles are not
+    a whole number of the product's chunks."""
+    sigma, q = 1.0, 5.0
+    sup_q = _pivot_sup_q(Monomial(3), sigma, q, n_rad, n_ang)
+    plain, _ = _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, None)
+    values, violations = _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, sup_q)
+    assert values == plain
+    if symbol == Monomial(3):
+        assert min(violations) > 0
+
+
+def test_monomial_route_matches_general_route():
+    """z^2 as a Blaschke product and as a polynomial take the two routes."""
+    fns = [f.value for f in ENGINE_FAMILY]
+    fast, fast_bad, _ = _composed_pair_sums(fns, Monomial(2), 1.0, 5.0, 10, 64, sup_q=2.0)
+    slow, slow_bad, _ = _composed_pair_sums(
+        fns, verify_self_map(Polynomial([0.0, 0.0, 1.0])).symbol, 1.0, 5.0, 10, 64, sup_q=2.0)
+    assert fast == pytest.approx(slow, rel=1e-12)
+    assert fast_bad == slow_bad and min(fast_bad) > 0
+
+
+def _monomial_route_bits():
+    fns = [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)]
+    out = []
+    for symbol, rule, sup_q in ((Identity(), (7, 97), None), (Monomial(2), (8, 81), 2.0),
+                                (Rotation(0.7), (9, 80), 1.0), (Monomial(2), (32, 128), 2.0)):
+        values, violations, _ = _composed_pair_sums(fns, symbol, 1.0, 5.0, *rule, sup_q=sup_q)
+        out += [float(x).hex() for x in values] + [str(violations)]
+    return " ".join(out)
+
+
+def test_monomial_route_independent_of_blas_threads():
+    """679, 648, 720 and 4,096 nodes: the route's products round alike at 1
+    and 2 BLAS threads, 679 included, where the general route's do not."""
+    assert _single_threaded("_monomial_route_bits") == _monomial_route_bits()
