@@ -119,7 +119,7 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
 
     equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level;
     norm: the rule's nodes and weights, 24 n_rad m, at the last level;
-    bound-check: those, or the pair engine's two 512 x N float blocks on its
+    bound-check: those, or the pair engine's one 512 x N float block on its
     base rule of N nodes, whichever is larger.
     """
     # 64 factor steps put any rule past any memory, so the powers stop there
@@ -131,7 +131,7 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
     need = 24 * n_rad * m
     if command == "bound-check":
         nodes = q.radial_count * q.angular_count * base**2
-        need = max(need, 16 * min(_BLOCK, nodes) * nodes)
+        need = max(need, 8 * min(_BLOCK, nodes) * nodes)
     return need
 
 

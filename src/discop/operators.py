@@ -61,15 +61,17 @@ from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
 #: chain, and the block corner's zeroed part (the lower triangle and diagonal)
 _BLOCK, _TILE = 512, 16
 _LOWER = np.tri(_BLOCK, dtype=bool)
-#: rotation-invariant route: workspace columns, and pair x member elements per predicate chunk
-_COLS, _PAIR_CHUNK = 128, 1 << 16
+#: rotation-invariant route: workspace columns
+_COLS = 128
 #: largest relative gap between the lift's two routes on one rule
 _ROUTE_TOL = 1e-8
 #: rank scan: boundary grid size, the |phi| band counted as contact, and the
 #: |phi'| below which the angular derivative is numerically zero
 _SCAN_RESOLUTION, _CONTACT_TOL, DERIV_TOL = 4096, 1e-6, 1e-8
-#: relative slack of the pointwise majorization test (round-off of the powers)
-VIOLATION_REL_TOL = 1e-12
+#: relative slack of the pointwise majorization test (round-off of the powers),
+#: and of the kernel diagonal that picks the rows it tests (below the first, so
+#: a rotation's diagonal of exactly 1 picks none at sup_q = 1)
+VIOLATION_REL_TOL, _DIAG_SLACK = 1e-12, 1e-14
 
 
 @dataclass(frozen=True)
@@ -311,17 +313,12 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
         sum_j D_ij w_j |V_i - V_j|^2 = |V_i|^2 P_i0 + P_i,|V|^2 - 2 Re(conj(V_i) P_i,V).
 
     phi = c z^m (a Blaschke product with every zero at the origin) takes the
-    rotation-invariant route, one kernel row per radius; every other symbol
-    the general one, the strict upper triangle in row blocks.
-
-    With ``sup_q`` given, the same pass counts for every member the node pairs
-    violating the majorization  plain-kernel integrand <= sup_q * composed
-    integrand  beyond VIOLATION_REL_TOL (mirrored to ordered pairs).  Where
-    F_i != F_j, f cancels from the test, which then reads
-    comp_sq/plain_sq > (sup_q (1 + VIOLATION_REL_TOL))^(2/q) for the squared
-    kernel moduli; the exact per-member predicate is evaluated only on the
-    pairs whose ratio comes within round-off of that threshold.  Returns
-    (values, violations, pairs); violations is None when sup_q is None.
+    rotation-invariant route, one kernel row per radius, on u = z^m (c drops
+    out of the kernel); every other symbol the general one, the strict upper
+    triangle in row blocks, on u = phi.  With ``sup_q`` given,
+    ``_majorization_violations`` then counts each member's violating node
+    pairs on the same u.  Returns (values, violations, pairs); violations is
+    None when sup_q is None.
     """
     rule = build_disc_rule(sigma, n_rad, n_ang)
     nodes, weights = rule.nodes, rule.weights
@@ -335,16 +332,12 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     v = f_vals - f_vals[0]
     v_sq = abs_sq(v)
     rhs = weights[:, None] * np.hstack([np.ones((total, 1)), v_sq, v.real, v.imag])
-    # the exact predicate runs on the pairs above this threshold only; its
-    # slack covers the round-off of the powers and the predicate's divisions
-    threshold = None if sup_q is None else (
-        (sup_q * (1.0 + VIOLATION_REL_TOL)) ** (2.0 / q) * (1.0 - 1e-12))
-    violations = np.zeros(count, dtype=int)
-    args = (q, rhs, f_vals, sup_q, threshold, violations)
     if isinstance(symbol, Blaschke) and not any(symbol.zeros):
-        p, scale = _monomial_products(nodes, n_ang, len(symbol.zeros), *args), 1.0
+        u = nodes ** len(symbol.zeros)
+        p, scale = _monomial_products(u, n_ang, q, rhs), 1.0
     else:
-        p, scale = _upper_triangle_products(nodes, phi_vals, *args), 2.0
+        u = phi_vals
+        p, scale = _upper_triangle_products(u, q, rhs), 2.0
     parts = []
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
@@ -353,106 +346,66 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
         term = v_sq[lo:hi] * pb[:, :1] + pb[:, 1 : 1 + count] - 2.0 * cross
         parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
     values = [scale * float(x) for x in np.sum(np.asarray(parts), axis=0)]
-    return values, None if sup_q is None else violations.tolist(), total**2
+    violations = None if sup_q is None else _majorization_violations(nodes, u, f_vals, q, sup_q)
+    return values, violations, total**2
 
 
-def _upper_triangle_products(nodes, phi_vals, q, rhs, f_vals, sup_q, threshold, violations):
+def _upper_triangle_products(u, q, rhs):
     """P over the strict upper triangle (the integrand is symmetric), in row blocks.
 
     Each block's squared kernel is one rank-4 product into a workspace reused
-    across blocks (a second one holds the plain kernel when sup_q is given);
-    the screen, powq, reciprocal and zeroed corner run over row tiles that
+    across blocks; powq, reciprocal and zeroed corner run over row tiles that
     stay in cache.  At some node counts (648, 679 and 720 among them) the
     BLAS library rounds these products differently at 1 and 2 threads.
     """
-    total, p = len(nodes), np.empty(rhs.shape)
-    comp_left, comp_right = _kernel_sq_factors(phi_vals)
-    plain_left, plain_right = _kernel_sq_factors(nodes)
-    block = np.empty(min(_BLOCK, total) * total)
-    plain_block = np.empty(block.size if sup_q is not None else 0)
-    tile = np.empty(2 * _TILE * total)
+    total, p = len(u), np.empty(rhs.shape)
+    left, right = _kernel_sq_factors(u)
+    block, tile = np.empty(min(_BLOCK, total) * total), np.empty(2 * _TILE * total)
     for lo in range(0, total, _BLOCK):
         hi, cols = min(lo + _BLOCK, total), total - lo
         rows = hi - lo
-        kernel = np.matmul(comp_left[lo:hi], comp_right[:, lo:],
-                           out=block[: rows * cols].reshape(rows, cols))
-        if sup_q is not None:
-            plain = np.matmul(plain_left[lo:hi], plain_right[:, lo:],
-                              out=plain_block[: rows * cols].reshape(rows, cols))
+        kernel = np.matmul(left[lo:hi], right[:, lo:], out=block[: rows * cols].reshape(rows, cols))
         for t in range(0, rows, _TILE):
             s = min(t + _TILE, rows)
             comp_sq, work = kernel[t:s], tile[: 2 * (s - t) * cols].reshape(2, s - t, cols)
+            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
             # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
             # part below it (within these rows, columns :s) are zeroed
-            lower = _LOWER[t:s, :s]
-            if sup_q is not None:
-                candidates = np.divide(comp_sq, plain[t:s], out=work[0]) > threshold
-                candidates[:, :s][lower] = False
-                if candidates.any():
-                    i, j = np.nonzero(candidates)
-                    i += t
-                    cand_comp = powq(kernel[i, j], q)[:, None]
-                    cand_plain = powq(plain[i, j], q)[:, None]
-                    num = abs_sq(f_vals[lo + i] - f_vals[lo + j])
-                    bad = num / cand_plain > sup_q * (num / cand_comp) * (1.0 + VIOLATION_REL_TOL)
-                    violations += 2 * np.count_nonzero(bad, axis=0)
-            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
-            comp_sq[:, :s][lower] = 0.0
+            comp_sq[:, :s][_LOWER[t:s, :s]] = 0.0
         p[lo:hi] = kernel @ rhs[lo:]
     return p
 
 
-def _monomial_products(nodes, n_ang, m, q, rhs, f_vals, sup_q, threshold, violations):
-    """P for phi = c z^m, |c| = 1, from one kernel table row per radius.
+def _monomial_products(u, n_ang, q, rhs):
+    """P for phi = c z^m, |c| = 1, from one kernel table row per radius (u = z^m).
 
     |1 - phi(z) conj(phi(w))|^2 = |1 - (z conj(w))^m|^2 depends on the radii
     and the angle difference only.  Row i of D holds the kernel between the
     (real) angle-0 node r_i and every node (j, d); node (i, a) has it rolled
     by a, so P[(i, a)] = sum_{j,d} D[i, (j, d)] rhs[(j, (a + d) mod M)] over
     the full square: BLAS products of D with rolled copies of rhs, copied into
-    one workspace per chunk of angles.  A screened entry stands for the pairs
-    ((i, a), (j, (a + d) mod M)); with i < j, or i = j and 0 < d <= M/2, each
-    unordered pair is met once.  For m = 1 plain and composed are one table.
+    one workspace per chunk of angles.
     """
-    total, count, n_rad, cols = len(nodes), f_vals.shape[1], len(nodes) // n_ang, rhs.shape[1]
-    plain_left, plain_right = _kernel_sq_factors(nodes)
-    comp_left, comp_right = (plain_left, plain_right) if m == 1 else _kernel_sq_factors(nodes**m)
-    plain_left, comp_left = plain_left[::n_ang], comp_left[::n_ang]
-    # sliding windows over the wrapped angles: [j, a, c, d] and [j, k, d, a]
-    # hold rhs and F_k at node (j, (a + d) mod M)
+    total, cols = len(u), rhs.shape[1]
+    n_rad = total // n_ang
+    left, right = _kernel_sq_factors(u)
+    left = left[::n_ang]
+    # a sliding window over the wrapped angles: [j, a, c, d] holds rhs at node (j, (a + d) mod M)
     rhs_ring = rhs.reshape(n_rad, n_ang, cols)
     rhs_rolled = sliding_window_view(np.concatenate([rhs_ring, rhs_ring[:, :-1]], 1), n_ang, axis=1)
-    f_ring = np.ascontiguousarray(f_vals.reshape(n_rad, n_ang, count).transpose(0, 2, 1))
-    f_rolled = sliding_window_view(np.concatenate([f_ring, f_ring[..., :-1]], 2), n_ang, axis=2)
-    per, chunk = min(n_ang, max(1, _COLS // cols)), max(1, _PAIR_CHUNK // (count * n_ang))
+    per = min(n_ang, max(1, _COLS // cols))
     # no array exceeds the general route's: blocks of at most _BLOCK radii
     workspace = np.empty(total * per * cols)
-    table, tile = np.empty(min(_BLOCK, n_rad) * total), np.empty(3 * _TILE * total)
+    table, tile = np.empty(min(_BLOCK, n_rad) * total), np.empty(2 * _TILE * total)
     p = np.empty((n_rad, n_ang, cols))
     for r0 in range(0, n_rad, _BLOCK):
         r1 = min(r0 + _BLOCK, n_rad)
         d_blk = table[: (r1 - r0) * total].reshape(r1 - r0, total)
         for t0 in range(r0, r1, _TILE):
             t1 = min(t0 + _TILE, r1)
-            work = tile[: 3 * (t1 - t0) * total].reshape(3, t1 - t0, total)
-            comp_sq = np.matmul(comp_left[t0:t1], comp_right, out=d_blk[t0 - r0 : t1 - r0])
-            if sup_q is not None:
-                plain_sq = comp_sq if m == 1 else np.matmul(
-                    plain_left[t0:t1], plain_right, out=work[2])
-                ti, col = np.nonzero(np.divide(comp_sq, plain_sq, out=work[0]) > threshold)
-                i, (j, d) = ti + t0, np.divmod(col, n_ang)
-                keep = (j > i) | ((j == i) & (d > 0) & (2 * d <= n_ang))
-                ti, col, i, j, d = ti[keep], col[keep], i[keep], j[keep], d[keep]
-                cand_comp = powq(comp_sq[ti, col], q)[:, None, None]
-                cand_plain = cand_comp if m == 1 else powq(plain_sq[ti, col], q)[:, None, None]
-                twice = 2 - ((j == i) & (2 * d == n_ang))  # d = M/2 on a ring meets a pair twice
-                for s in range(0, len(i), chunk):
-                    e = s + chunk
-                    num = abs_sq(f_ring[i[s:e]] - f_rolled[j[s:e], :, d[s:e]])
-                    bad = num / cand_plain[s:e] > sup_q * (num / cand_comp[s:e]) * (
-                        1.0 + VIOLATION_REL_TOL)
-                    violations += twice[s:e] @ np.count_nonzero(bad, axis=2)
-            np.divide(1.0, powq(comp_sq, q, work[:2]), out=comp_sq)
+            work = tile[: 2 * (t1 - t0) * total].reshape(2, t1 - t0, total)
+            comp_sq = np.matmul(left[t0:t1], right, out=d_blk[t0 - r0 : t1 - r0])
+            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
         d_blk[np.arange(r1 - r0), np.arange(r0, r1) * n_ang] = 0.0
         for a0 in range(0, n_ang, per):
             a1 = min(a0 + per, n_ang)
@@ -460,6 +413,41 @@ def _monomial_products(nodes, n_ang, m, q, rhs, f_vals, sup_q, threshold, violat
             np.copyto(rolled, rhs_rolled[:, a0:a1].transpose(0, 3, 1, 2))
             p[r0:r1, a0:a1] = (d_blk @ rolled.reshape(total, -1)).reshape(r1 - r0, a1 - a0, cols)
     return p.reshape(total, cols)
+
+
+def _majorization_violations(z, u, f_vals, q, sup_q):
+    """Ordered node pairs where plain-kernel integrand <= sup_q * composed
+    integrand fails beyond VIOLATION_REL_TOL, for every member.
+
+    Where F_i != F_j, f cancels and the test reads |k_ij|^q > sup_q (1 +
+    VIOLATION_REL_TOL) for k(z, w) = (1 - u(z) conj(u(w))) / (1 - z conj(w)),
+    the de Branges-Rovnyak kernel of the self-map.  It is positive
+    semidefinite, so |k_ij|^2 <= k_ii k_jj: a violating pair has a node whose
+    diagonal k_ii^q is above the bound.  Only those rows are tested, in tiles,
+    against every column with the exact per-member predicate (a candidate
+    column only past the row, so each unordered pair is met once); with a
+    correct supremum there are none.  u holds the values the route's kernel
+    uses, so a rotation's diagonal is exactly 1.  Near the circle 1 - |u|^2
+    cancels (6e-10 relative at a Mobius |a| = 0.999 on 48x192); the count
+    stays exact while the largest |k_ij|^q stays further below the largest
+    k_ii^q than that, as it does by 1.8e-3 relative or more on the tested rules.
+    """
+    k_diag = (1.0 - abs_sq(u)) / (1.0 - abs_sq(z))
+    candidate = powq(k_diag * k_diag, q) > sup_q * (1.0 + VIOLATION_REL_TOL) * (1.0 - _DIAG_SLACK)
+    rows, cols = np.flatnonzero(candidate), np.arange(len(z))
+    comp_left, comp_right = _kernel_sq_factors(u)
+    plain_left, plain_right = _kernel_sq_factors(z)
+    violations = np.zeros(f_vals.shape[1], dtype=int)
+    for s in range(0, len(rows), _TILE):
+        i = rows[s : s + _TILE]
+        met = ~candidate | (cols > i[:, None])
+        comp = powq(comp_left[i] @ comp_right, q)
+        plain = powq(plain_left[i] @ plain_right, q)
+        for k, f_col in enumerate(f_vals.T):
+            num = abs_sq(f_col[i, None] - f_col)
+            bad = num / plain > sup_q * (num / comp) * (1.0 + VIOLATION_REL_TOL)
+            violations[k] += 2 * np.count_nonzero(bad & met)
+    return violations.tolist()
 
 
 def bound_check(

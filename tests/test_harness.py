@@ -370,7 +370,7 @@ DETERMINISM_CONFIGS = {
         "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
         "quadrature": _fast_quad(),
     },
-    # the composed pair engine, its majorization screen and the bound rows
+    # the composed pair engine, its majorization check and the bound rows
     "bound-check": {
         "command": "bound-check",
         "symbol": {"type": "blaschke", "zeros": [{"re": 0.4, "im": 0.2}], "post_rotation": 0.7},
@@ -838,16 +838,16 @@ def test_bound_check_quadrature_bound_is_the_pair_engine_blocks(monkeypatch):
         "params": {"sigma": 1.0, "beta": 0.5},
         "quadrature": {"radial_count": 8, "angular_count": 2**17},
     }
-    # two 512 x N float blocks on the 2^20-node base rule: 8.6 GB, far above
-    # the kernel spectrum (2.1 GB) that bound-check never builds
-    need = 2 * 8 * 512 * 2**20
+    # one 512 x N float block on the 2^20-node base rule: 4.3 GB, above the
+    # kernel spectrum (2.1 GB) that bound-check never builds
+    need = 8 * 512 * 2**20
     _memory(monkeypatch, need)
     assert parse_config(config).quadrature.angular_count == 2**17
     _memory(monkeypatch, need - 1)
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert info.value.field == "quadrature"
-    # --refine sizes the blocks on the refined base rule
+    # --refine sizes the block on the refined base rule
     small = dict(config, quadrature={"radial_count": 8, "angular_count": 2**15})
     _memory(monkeypatch, need - 1)
     with pytest.raises(ConfigError) as info:
