@@ -167,15 +167,21 @@ def dirichlet_norm_sq_quad(
     )
 
 
-@lru_cache(maxsize=3)  # one default ladder: max_refinements + 1 rules
+#: two default ladders: a process alternating two weight triples rebuilds nothing, and a
+#: family ladder never evicts a level the next member needs; a count, not bytes (the memory
+#: rule sizes one command's last level)
+@lru_cache(maxsize=2 * (QuadratureSettings.max_refinements + 1))
 def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int):
-    """Read-only real spectrum of the pairwise kernel, (m//2 + 1, n_rad, n_rad) floats.
+    """Everything f-blind of one pairwise rule: (spectrum, rule_z, rule_w).
 
-    Built one z radius at a time: half-angle kernel, mirrored, one real FFT per radius pair.
-    Stored in (i, k, j) order and returned as its (k, i, j) view, so every mode's slab of
-    z radii has unit stride over the w radii and its products go through BLAS.
+    The spectrum is read-only and real, (m//2 + 1, n_rad, n_rad) floats, built one z radius
+    at a time: half-angle kernel, mirrored, one real FFT per radius pair.  Stored in (i, k, j)
+    order and returned as its (k, i, j) view, so every mode's slab of z radii has unit stride
+    over the w radii and its products go through BLAS.  rule_w is rule_z when sigma = tau.
     """
     m, h = n_ang, n_ang // 2 + 1
+    rule_z = build_disc_rule(sigma, n_rad, n_ang)
+    rule_w = rule_z if sigma == tau else build_disc_rule(tau, n_rad, n_ang)
     r_z, r_w = (np.sqrt(_jacobi_01(float(s), int(n_rad))[0]) for s in (sigma, tau))
     cos_h = np.cos(2.0 * np.pi * np.arange(h) / m)
     spectrum = np.empty((n_rad, h, n_rad))
@@ -183,7 +189,7 @@ def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int)
         half = 1.0 / powq(1.0 - 2.0 * x[:, None] * cos_h + (x**2)[:, None], q)
         spectrum[i] = np.fft.rfft(np.concatenate([half, half[:, m - h:0:-1]], axis=1)).real.T
     spectrum.setflags(write=False)
-    return spectrum.transpose(1, 0, 2)
+    return spectrum.transpose(1, 0, 2), rule_z, rule_w
 
 
 def pairwise_difference_integral(
@@ -199,41 +205,43 @@ def pairwise_difference_integral(
 
     with Z, W the FFTs of the nodal values (|Z_i|^2 summed over k) and Khat that
     of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real, even and
-    blind to f, so :func:`_kernel_spectrum` builds it once per (sigma, tau, q,
-    rule) and a family shares it.  Modes k and m-k share Khat_k and fold into
-    four real channels; each radial block is one batched matrix product, which
-    the spectrum's unit-stride slabs hand to BLAS.  When sigma = tau both sides
-    are one rule, so f is evaluated and transformed once.  This is the same
-    nodal sum as a direct sum over all node pairs, reassociated.
+    blind to f, so :func:`_kernel_spectrum` holds it with both rules once per
+    (sigma, tau, q, rule) and a warm call does only f-work.  Modes k and m-k
+    share Khat_k and fold into four real channels, written into one array per
+    side; each radial block is one batched matrix product, which the
+    spectrum's unit-stride slabs hand to BLAS.  When sigma = tau both sides
+    are one rule, so f is evaluated, checked, shifted and transformed once.
+    This is the same nodal sum as a direct sum over all node pairs, reassociated.
 
     |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
     the value at the first z node: a constant then gives exactly 0, and an f
     close to a constant does not cancel in the expanded square.
     """
-    same = sigma == tau  # one rule: f, its channels and its weights serve both sides
-    rule_z = build_disc_rule(sigma, n_rad, n_ang)
-    rule_w = rule_z if same else build_disc_rule(tau, n_rad, n_ang)
+    spectrum, rule_z, rule_w = _kernel_spectrum(sigma, tau, q, n_rad, n_ang)
+    same = rule_w is rule_z  # one rule: f, its channels and its weights serve both sides
     m = n_ang
-    fz = np.asarray(value_fn(rule_z.nodes), dtype=complex).reshape(n_rad, m)
-    fw = fz if same else np.asarray(value_fn(rule_w.nodes), dtype=complex).reshape(n_rad, m)
-    if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(fw))):
-        raise ConvergenceError("integrand is non-finite at a quadrature node")
-    fz, fw = fz - fz[0, 0], fw - fz[0, 0]
     k = np.arange(m // 2 + 1)
     h = k.size
 
-    def channels(f, radial_w):
-        # (h, n_rad, 4): weighted Re, Im of mode k and of mode m-k (0 where m-k is k)
-        spec = np.fft.fft(f, axis=1) * radial_w[:, None]
-        back = spec[:, -k % m] * ((2 * k) % m != 0)
-        chans = [spec[:, :h].real, spec[:, :h].imag, back.real, back.imag]
-        return np.ascontiguousarray(np.stack(chans).T)
+    def side(rule, shift=None):
+        # the shift, weighted mean |f - shift|^2 per radius and (h, n_rad, 4) channels:
+        # weighted Re, Im of mode k and of mode m-k (0 where m-k is k)
+        f = np.asarray(value_fn(rule.nodes), dtype=complex).reshape(n_rad, m)
+        if not np.all(np.isfinite(f)):
+            raise ConvergenceError("integrand is non-finite at a quadrature node")
+        shift = f[0, 0] if shift is None else shift
+        f = f - shift
+        spec = np.fft.fft(f, axis=1)
+        spec *= rule.radial_w[:, None]
+        chans = np.empty((h, n_rad, 2), dtype=complex)
+        chans[..., 0] = spec[:, :h].T
+        np.multiply(spec[:, -k % m].T, ((2 * k) % m != 0)[:, None], out=chans[..., 1])
+        return shift, rule.radial_w * np.mean(np.abs(f) ** 2, axis=1), chans.view(float)
 
-    chan_z = channels(fz, rule_z.radial_w)
-    chan_w = chan_z if same else channels(fw, rule_w.radial_w)
-    sq_z = np.stack([rule_z.radial_w * np.mean(np.abs(fz) ** 2, axis=1), rule_z.radial_w], 1)
-    sq_w = np.stack([rule_w.radial_w, rule_w.radial_w * np.mean(np.abs(fw) ** 2, axis=1)], 1)
-    spectrum = _kernel_spectrum(sigma, tau, q, n_rad, m)
+    shift, msq_z, chan_z = side(rule_z)
+    msq_w, chan_w = (msq_z, chan_z) if same else side(rule_w, shift)[1:]
+    sq_z = np.stack([msq_z, rule_z.radial_w], 1)
+    sq_w = np.stack([rule_w.radial_w, msq_w], 1)
 
     parts = []
     for lo in range(0, n_rad, _RADIAL_BLOCK):

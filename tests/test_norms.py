@@ -295,7 +295,7 @@ def test_pairwise_frozen_bits_and_one_evaluation_per_rule(n_rad, n_ang, sigma, t
 
 @pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.0, 1.0, 16, 64), (1.5, 0.6, 8, 30)])
 def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad, n_ang):
-    spectrum = _kernel_spectrum(sigma, tau, 5.8, n_rad, n_ang)
+    spectrum = _kernel_spectrum(sigma, tau, 5.8, n_rad, n_ang)[0]
     assert spectrum.shape == (n_ang // 2 + 1, n_rad, n_rad)
     assert all(spectrum[k].strides[-1] == spectrum.itemsize for k in range(spectrum.shape[0]))
     ladder = QuadratureSettings(radial_count=n_rad // 2, angular_count=n_ang // 2,
@@ -303,7 +303,9 @@ def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad,
     assert spectrum.nbytes == _quadrature_bytes("equivalence", ladder)
 
 
-@pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.5, 0.6, 32, 64), (1.0, 0.3, 5, 7)])
+@pytest.mark.parametrize(
+    "sigma, tau, n_rad, n_ang", [(1.5, 0.6, 32, 64), (1.0, 0.3, 5, 7), (1.0, 1.0, 16, 64)]
+)
 def test_pairwise_same_bits_cold_cached_and_cleared(sigma, tau, n_rad, n_ang):
     def value():
         return pairwise_difference_integral(
@@ -333,6 +335,33 @@ def test_family_ladder_builds_each_level_once():
         assert len(info.value.partial.trace) == 3
     stats = _kernel_spectrum.cache_info()
     assert (stats.misses, stats.hits) == (3, 6)
+
+
+def test_two_alternating_ladders_build_each_level_once():
+    # a process that alternates two weight triples keeps both ladders warm
+    ladder = QuadratureSettings(
+        radial_count=8, angular_count=32, target_rel_tol=1e-15, max_refinements=2
+    )
+    _kernel_spectrum.cache_clear()
+    for params in [WeightParams(1.0, 1.0, 0.5), WeightParams(1.5, 0.6, 0.5)] * 2:
+        with pytest.raises(ConvergenceError) as info:
+            double_integral_functional(TruncatedPowerSeries.monomial(2), params, ladder)
+        assert len(info.value.partial.trace) == 3
+    stats = _kernel_spectrum.cache_info()
+    assert (stats.misses, stats.hits) == (6, 6)
+
+
+@pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
+def test_pairwise_warm_call_builds_no_rule(monkeypatch, sigma, tau):
+    def value():
+        return pairwise_difference_integral(
+            lambda z: _QUINTIC.value(z), sigma, tau, 5.8, 16, 64
+        ).hex()
+
+    _kernel_spectrum.cache_clear()
+    cold = value()
+    monkeypatch.setattr("discop.norms.build_disc_rule", lambda *args: pytest.fail("rule built"))
+    assert value() == cold
 
 
 def test_double_integral_constant_is_zero():
