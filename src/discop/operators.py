@@ -21,10 +21,12 @@ double-integral functional with kernel exponent q = 2*(beta + 2).
 and evaluates both routes on a shared refinement ladder, so the identity can
 be asserted at round-off level.  The engine works in Gram form, one product
 for all members.  For phi = c z^m (the identity among them) the kernel
-depends on the radii and the angle difference only, so the engine computes
-one kernel row per radius; other symbols take the upper-triangle route.
-Both are direct node-pair sums (no FFT), so the lift's route identity still
-compares two different summations.
+depends on the radii and the angle difference only, and a Mobius map's is
+the kernel of z times separable node weights, so for both the engine sums a
+circular correlation along the angle by a real FFT, from one kernel row per
+radius; other symbols take the upper-triangle route, a direct node-pair sum.
+The lift's route identity still compares two different summations: the
+spectral pairwise integral and this Gram-form engine.
 
 The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
@@ -41,7 +43,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._numutil import abs_sq, powq
 from .errors import ConvergenceError, ParamError
@@ -61,8 +62,6 @@ from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
 #: chain, and the block corner's zeroed part (the lower triangle and diagonal)
 _BLOCK, _TILE = 512, 16
 _LOWER = np.tri(_BLOCK, dtype=bool)
-#: rotation-invariant route: workspace columns
-_COLS = 128
 #: largest relative gap between the lift's two routes on one rule
 _ROUTE_TOL = 1e-8
 #: rank scan: boundary grid size, the |phi| band counted as contact, and the
@@ -312,12 +311,16 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
 
         sum_j D_ij w_j |V_i - V_j|^2 = |V_i|^2 P_i0 + P_i,|V|^2 - 2 Re(conj(V_i) P_i,V).
 
-    phi = c z^m (a Blaschke product with every zero at the origin) takes the
-    rotation-invariant route, one kernel row per radius, on u = z^m (c drops
-    out of the kernel); every other symbol the general one, the strict upper
-    triangle in row blocks, on u = phi.  With ``sup_q`` given,
-    ``_majorization_violations`` then counts each member's violating node
-    pairs on the same u.  Returns (values, violations, pairs); violations is
+    phi = c z^m (a Blaschke product with every zero at the origin) and a
+    Mobius map c (a - z)/(1 - conj(a) z) take the rotation-invariant route,
+    on the kernel of z^m (c drops out; m = 1 for a Mobius map).  A Mobius
+    map's reciprocal kernel power is that one times g_i g_j, with
+    g = (|1 - conj(a) z|^2 / (1 - |a|^2))^(q/2) (g = 1 for c z^m), so
+    P = g * route(g * rhs) with no cancelling 1 - |phi|^2.  Every other
+    symbol takes the general route, the strict upper triangle in row blocks,
+    on u = phi.  With ``sup_q`` given, ``_majorization_violations`` then
+    counts each member's violating node pairs on u = z^m for c z^m and on
+    u = phi otherwise.  Returns (values, violations, pairs); violations is
     None when sup_q is None.
     """
     rule = build_disc_rule(sigma, n_rad, n_ang)
@@ -332,9 +335,13 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     v = f_vals - f_vals[0]
     v_sq = abs_sq(v)
     rhs = weights[:, None] * np.hstack([np.ones((total, 1)), v_sq, v.real, v.imag])
-    if isinstance(symbol, Blaschke) and not any(symbol.zeros):
-        u = nodes ** len(symbol.zeros)
-        p, scale = _monomial_products(u, n_ang, q, rhs), 1.0
+    zeros = symbol.zeros if isinstance(symbol, Blaschke) else ()
+    if len(zeros) == 1 or (zeros and not any(zeros)):
+        # c z^m (a = 0, so g = 1) or a Mobius map (m = 1, its count on phi)
+        a, z_m = zeros[0], nodes ** len(zeros)
+        g = powq(abs_sq(1.0 - np.conj(a) * nodes) / ((1.0 - abs(a)) * (1.0 + abs(a))), q)[:, None]
+        p, scale = g * _rotation_invariant_products(z_m, n_ang, q, g * rhs), 1.0
+        u = phi_vals if a else z_m
     else:
         u = phi_vals
         p, scale = _upper_triangle_products(u, q, rhs), 2.0
@@ -376,43 +383,33 @@ def _upper_triangle_products(u, q, rhs):
     return p
 
 
-def _monomial_products(u, n_ang, q, rhs):
-    """P for phi = c z^m, |c| = 1, from one kernel table row per radius (u = z^m).
+def _rotation_invariant_products(u, n_ang, q, rhs):
+    """P for u = z^m, whose kernel depends on the radii and the angle difference only.
 
-    |1 - phi(z) conj(phi(w))|^2 = |1 - (z conj(w))^m|^2 depends on the radii
-    and the angle difference only.  Row i of D holds the kernel between the
-    (real) angle-0 node r_i and every node (j, d); node (i, a) has it rolled
-    by a, so P[(i, a)] = sum_{j,d} D[i, (j, d)] rhs[(j, (a + d) mod M)] over
-    the full square: BLAS products of D with rolled copies of rhs, copied into
-    one workspace per chunk of angles.
+    |1 - u_i conj(u_j)|^2 = |1 - (z conj(w))^m|^2.  Row i of D holds the kernel
+    between the (real) angle-0 node r_i and every node (j, d); it is even in
+    d, and node (i, a) has it rolled by a, so
+    P[(i, a)] = sum_{j,d} D[i, (j, d)] rhs[(j, (a + d) mod M)] is a circular
+    correlation along the angle.  A real FFT diagonalizes it: per tile of
+    radii the rows' spectrum is real, and each frequency takes one real
+    product of it with the spectrum of rhs (viewed as floats); one inverse
+    FFT ends the pass.
     """
-    total, cols = len(u), rhs.shape[1]
+    total, cols = rhs.shape
     n_rad = total // n_ang
     left, right = _kernel_sq_factors(u)
-    left = left[::n_ang]
-    # a sliding window over the wrapped angles: [j, a, c, d] holds rhs at node (j, (a + d) mod M)
-    rhs_ring = rhs.reshape(n_rad, n_ang, cols)
-    rhs_rolled = sliding_window_view(np.concatenate([rhs_ring, rhs_ring[:, :-1]], 1), n_ang, axis=1)
-    per = min(n_ang, max(1, _COLS // cols))
-    # no array exceeds the general route's: blocks of at most _BLOCK radii
-    workspace = np.empty(total * per * cols)
-    table, tile = np.empty(min(_BLOCK, n_rad) * total), np.empty(2 * _TILE * total)
-    p = np.empty((n_rad, n_ang, cols))
-    for r0 in range(0, n_rad, _BLOCK):
-        r1 = min(r0 + _BLOCK, n_rad)
-        d_blk = table[: (r1 - r0) * total].reshape(r1 - r0, total)
-        for t0 in range(r0, r1, _TILE):
-            t1 = min(t0 + _TILE, r1)
-            work = tile[: 2 * (t1 - t0) * total].reshape(2, t1 - t0, total)
-            comp_sq = np.matmul(left[t0:t1], right, out=d_blk[t0 - r0 : t1 - r0])
-            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
-        d_blk[np.arange(r1 - r0), np.arange(r0, r1) * n_ang] = 0.0
-        for a0 in range(0, n_ang, per):
-            a1 = min(a0 + per, n_ang)
-            rolled = workspace[: total * (a1 - a0) * cols].reshape(n_rad, n_ang, a1 - a0, cols)
-            np.copyto(rolled, rhs_rolled[:, a0:a1].transpose(0, 3, 1, 2))
-            p[r0:r1, a0:a1] = (d_blk @ rolled.reshape(total, -1)).reshape(r1 - r0, a1 - a0, cols)
-    return p.reshape(total, cols)
+    rhs_hat = np.fft.rfft(rhs.reshape(n_rad, n_ang, cols), axis=1).transpose(1, 0, 2)
+    rhs_hat = np.ascontiguousarray(rhs_hat).view(float)  # [k, j, (c, re/im)]
+    p_hat = np.empty(rhs_hat.shape)
+    for t0 in range(0, n_rad, _TILE):
+        t1 = min(t0 + _TILE, n_rad)
+        comp_sq = left[::n_ang][t0:t1] @ right  # from each radius's angle-0 node
+        ring = np.divide(1.0, powq(comp_sq, q), out=comp_sq).reshape(t1 - t0, n_rad, n_ang)
+        ring[np.arange(t1 - t0), np.arange(t0, t1), 0] = 0.0  # the diagonal
+        spectrum = np.fft.rfft(ring, axis=2).real.transpose(2, 0, 1)  # [k, i, j]
+        p_hat[:, t0:t1] = np.ascontiguousarray(spectrum) @ rhs_hat
+    p = np.fft.irfft(p_hat.view(complex), n=n_ang, axis=0)  # [a, i, c]
+    return p.transpose(1, 0, 2).reshape(total, cols)
 
 
 def _majorization_violations(z, u, f_vals, q, sup_q):

@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import os
 import subprocess
 import sys
@@ -556,18 +558,18 @@ def _traced_peak(symbol, n_rad, n_ang, sup_q):
     for sup_q, blocks in ((None, 1.5), (2.0, 1.5))
 ])
 def test_composed_pair_sums_memory_is_one_block_per_kernel(symbol, sup_q, blocks):
-    """The traced peak of a pass stays near its one reused 512 x N workspace,
-    on the rotation-invariant route (identity) and the general one, with the
-    majorization check too."""
+    """The traced peak of a pass stays near its one reused 512 x N workspace
+    on the general route, and below it on the rotation-invariant route
+    (identity), with the majorization check too."""
     n_rad, n_ang = 24, 96
     assert _traced_peak(symbol, n_rad, n_ang, sup_q) <= blocks * 512 * n_rad * n_ang * 8
 
 
 @pytest.mark.parametrize("n_rad, n_ang", [(640, 8), (1280, 4)])
 def test_monomial_route_memory_with_many_radii(n_rad, n_ang):
-    """More than 512 radii: the table is built in blocks of radii, so one
-    pass stays within the general route's bound (a whole table alone is 1.25
-    and 2.5 blocks here)."""
+    """More than 512 radii: the kernel rows come in tiles of 16 radii, so one
+    pass stays within the general route's bound (a table of every radius's
+    row alone would be 1.25 and 2.5 blocks here)."""
     block = 512 * n_rad * n_ang * 8
     assert _traced_peak(Monomial(2), n_rad, n_ang, 2.0) <= 2.5 * block
 
@@ -581,8 +583,8 @@ MONOMIAL_ROUTE = [Identity(), Rotation(0.7), Monomial(3),
 @pytest.mark.parametrize("symbol", MONOMIAL_ROUTE, ids=lambda s: s.label)
 def test_monomial_route_matches_full_matrix_reference(symbol, n_rad, n_ang):
     """One kernel row per radius gives the dense values and violation counts,
-    without and with a sup_q that some z^3 pairs violate; 97 angles are not
-    a whole number of the product's chunks."""
+    without and with a sup_q that some z^3 pairs violate; 97 angles are odd,
+    so the real FFT has no Nyquist frequency."""
     sigma, q = 1.0, 5.0
     plain, _ = _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, None)
     for quantile in (0.5, 0.999):
@@ -603,17 +605,73 @@ def test_monomial_route_matches_general_route():
     assert fast_bad == slow_bad and min(fast_bad) > 0
 
 
+MOBIUS_ROUTE = [MobiusAuto(0.5, 1.3), MobiusAuto(0.9j)]
+
+
+@pytest.mark.parametrize("n_rad, n_ang", [(6, 16), (10, 64), SEAM_RULE[1:]])
+@pytest.mark.parametrize("symbol", MOBIUS_ROUTE, ids=lambda s: s.label)
+def test_mobius_route_matches_full_matrix_reference(symbol, n_rad, n_ang):
+    """The node weights g on the plain kernel's route give the dense values,
+    and the count on phi the dense violation counts, with and without a
+    pivot sup_q that some pairs violate."""
+    sigma, q = 1.0, 5.0
+    plain, _ = _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, None)
+    for quantile in (0.5, 0.999):
+        sup_q = _pivot_sup_q(symbol, sigma, q, n_rad, n_ang, quantile)
+        values, violations = _assert_matches_dense(symbol, sigma, q, n_rad, n_ang, sup_q)
+        assert values == plain
+        assert min(violations) > 0
+
+
+def test_mobius_route_matches_extended_precision_near_the_circle():
+    """At |a| = 0.999 the composed kernel 1 - phi(z) conj(phi(w)) cancels;
+    the factored route meets a 40-digit node-pair sum (q = 6, so integer
+    powers) to 1e-12, where the general route is off by about 3e-10."""
+    sigma, q, n_rad, n_ang, a = 1.0, 6.0, 4, 16, 0.999
+    rule = build_disc_rule(sigma, n_rad, n_ang)
+    with decimal.localcontext(prec=40):
+        def mul(x, y):
+            return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        phis = []
+        for z in rule.nodes:
+            x, y, d = decimal.Decimal(z.real), decimal.Decimal(z.imag), decimal.Decimal(a)
+            num = mul((d - x, -y), (1 - d * x, d * y))  # (a - z) conj(1 - a z), a real
+            den = (1 - d * x) ** 2 + (d * y) ** 2
+            phis.append((num[0] / den, num[1] / den))
+        fams = [phis, [mul(p, p) for p in phis]]  # f = z and z^2 at phi
+        want = [decimal.Decimal(0)] * 2
+        for i, j in itertools.combinations(range(len(phis)), 2):
+            k = mul(phis[i], (phis[j][0], -phis[j][1]))
+            den = ((1 - k[0]) ** 2 + k[1] ** 2) ** 3
+            w = decimal.Decimal(rule.weights[i]) * decimal.Decimal(rule.weights[j]) / den
+            for m, fv in enumerate(fams):
+                want[m] += 2 * w * ((fv[i][0] - fv[j][0]) ** 2 + (fv[i][1] - fv[j][1]) ** 2)
+    fns = [TruncatedPowerSeries.monomial(n).value for n in (1, 2)]
+    got, _, _ = _composed_pair_sums(fns, MobiusAuto(a), sigma, q, n_rad, n_ang)
+    for value, exact in zip(got, want):
+        assert value == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_mobius_route_memory_is_below_half_a_block():
+    """No 512 x N block: tiles of 16 kernel rows and the spectra of rhs."""
+    n_rad, n_ang = 32, 128
+    assert _traced_peak(MobiusAuto(0.5), n_rad, n_ang, 2.0) <= 0.5 * 512 * n_rad * n_ang * 8
+
+
 def _monomial_route_bits():
     fns = [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)]
     out = []
     for symbol, rule, sup_q in ((Identity(), (7, 97), None), (Monomial(2), (8, 81), 2.0),
-                                (Rotation(0.7), (9, 80), 1.0), (Monomial(2), (32, 128), 2.0)):
+                                (Rotation(0.7), (9, 80), 1.0), (Monomial(2), (32, 128), 2.0),
+                                (MobiusAuto(0.5, 1.3), (7, 97), 2.0), (Identity(), (48, 192), None)):
         values, violations, _ = _composed_pair_sums(fns, symbol, 1.0, 5.0, *rule, sup_q=sup_q)
         out += [float(x).hex() for x in values] + [str(violations)]
     return " ".join(out)
 
 
 def test_monomial_route_independent_of_blas_threads():
-    """679, 648, 720 and 4,096 nodes: the route's products round alike at 1
-    and 2 BLAS threads, 679 included, where the general route's do not."""
+    """679, 648, 720, 4,096 and 9,216 nodes, and a Mobius map at 679: the
+    route's products round alike at 1 and 2 BLAS threads, 679 included,
+    where the general route's do not."""
     assert _single_threaded("_monomial_route_bits") == _monomial_route_bits()
