@@ -6,11 +6,14 @@ sigma = tau = 1, beta = 0.5:
 
 * the rotation-invariant series expansion (tests/oracles.py), Richardson-
   extrapolated in the truncation length;
-* the FFT pairwise quadrature (``pairwise_difference_integral``) on a
-  128x512 rule, 4x the default resolution.
+* the spectral pairwise quadrature (``pairwise_difference_integral``, which
+  reads the ring spectra off the series' coefficients) on a 128x512 rule,
+  4x the default resolution.
 
-Their agreement (about 1e-5 here, limited by the quadrature) is what
-justifies pinning both numbers.
+Their agreement, limited by the quadrature, is what justifies pinning both
+numbers: 1.1e-5 relative for z, growing with the degree to 3.5e-4 for z^8.
+
+Run with discop importable, e.g. ``PYTHONPATH=src python scripts/compute_reference_values.py``.
 """
 
 import sys
@@ -33,7 +36,7 @@ def main() -> int:
     for n in range(1, 9):
         oracle = pairwise_series_oracle(n, sigma, tau, beta)
         quad = pairwise_difference_integral(
-            TruncatedPowerSeries.monomial(n).value, sigma, tau, q, 128, 512
+            TruncatedPowerSeries.monomial(n), sigma, tau, q, 128, 512
         )
         ratio = oracle / dirichlet_monomial_sq(n, 1.0)
         print(f"{n:>2} {oracle:>20.12e} {quad:>20.12e} {abs(quad-oracle)/oracle:>10.2e} {ratio:>12.8f}")

@@ -13,8 +13,9 @@ kernel |1 - conj(w) z|^{-q}:
 
     D(f) = iint |f(z)-f(w)|^2 / |1 - conj(w) z|^q  dA_sigma(z) dA_tau(w).
 
-For weight parameters inside the admissible window this quantity is
-equivalent (with unknown absolute constants) to the squared Dirichlet-type
+It is summed for a truncated power series f from the ring spectra that f's
+coefficients give, never from values of f.  Inside the admissible window it
+is equivalent (with unknown absolute constants) to the squared Dirichlet-type
 norm with p = sigma + tau - 2*beta, where q = 2*(beta + 2); the experiment
 layer checks that equivalence as a ratio-band property.
 """
@@ -193,63 +194,62 @@ def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int)
 
 
 def pairwise_difference_integral(
-    value_fn, sigma: float, tau: float, q: float, n_rad: int, n_ang: int
+    f: TruncatedPowerSeries, sigma: float, tau: float, q: float, n_rad: int, n_ang: int
 ) -> float:
     """Single-rule evaluation of iint |f(z)-f(w)|^2 / |1-conj(w) z|^q dA_sigma dA_tau.
 
-    Exploits the tensor structure: for fixed radii r_i, r_j the kernel depends
-    on the angle difference only, so by Parseval the mean over the m x m
-    angular node pairs is
+    For fixed radii r_i, r_j the kernel depends on the angle difference only, so
+    by Parseval the mean over the m x m angular node pairs is
 
-        (Khat_0 (|Z_i|^2 + |W_j|^2) - 2 sum_k Khat_k Re(Z_ik conj(W_jk))) / m^3
+        (Khat_0 (|Z_i|^2 + |W_j|^2) - 2 sum_k Khat_k Re(Z_ik conj(W_jk))) / m
 
-    with Z, W the FFTs of the nodal values (|Z_i|^2 summed over k) and Khat that
-    of the kernel (1 - 2x cos theta + x^2)^(-q/2), x = r_i r_j: real, even and
-    blind to f, so :func:`_kernel_spectrum` holds it with both rules once per
-    (sigma, tau, q, rule) and a warm call does only f-work.  Modes k and m-k
-    share Khat_k and fold into four real channels, written into one array per
-    side; each radial block is one batched matrix product, which the
-    spectrum's unit-stride slabs hand to BLAS.  When sigma = tau both sides
-    are one rule, so f is evaluated, checked, shifted and transformed once.
-    This is the same nodal sum as a direct sum over all node pairs, reassociated.
-
-    |f(z)-f(w)|^2 is blind to constants, so both nodal arrays are shifted by
-    the value at the first z node: a constant then gives exactly 0, and an f
-    close to a constant does not cancel in the expanded square.
+    with Khat the m-point DFT of the kernel (1 - 2x cos theta + x^2)^(-q/2),
+    x = r_i r_j, real, even and blind to f (:func:`_kernel_spectrum` caches it
+    with both rules), and Z, W the DFTs over m of the series f on the rings, read
+    off its coefficients: Z_ik = sum_{n = k mod m} a_n r_i^n, aliasing folded as
+    the DFT folds it.  f is never evaluated, and the cross term runs over the
+    occupied modes only (k and m-k share Khat_k: four real channels), one batched
+    product per radial block: the nodal sum over all node pairs, reassociated.
+    a_0 is never read, and mode 0 of both sides is shifted by sum_{n>=1} a_n r_0^n
+    (f at the first z node, less a_0): a constant gives exactly 0, and an f close
+    to a constant does not cancel in the expanded square.
     """
     spectrum, rule_z, rule_w = _kernel_spectrum(sigma, tau, q, n_rad, n_ang)
-    same = rule_w is rule_z  # one rule: f, its channels and its weights serve both sides
     m = n_ang
-    k = np.arange(m // 2 + 1)
-    h = k.size
+    a = np.asarray(f.coeffs, dtype=complex)
+    n = np.flatnonzero(a[1:]) + 1  # occupied degrees
+    s = n % m  # the DFT folds degree n onto mode n mod m
+    k = np.union1d(0, np.minimum(s, m - s))  # occupied folded modes, 0 first
+    # a_n r^n goes to mode k = s, or to mode m - k = s (that column stays 0 where m - k is k)
+    col = np.where(2 * s <= m, np.searchsorted(k, s), k.size + np.searchsorted(k, m - s))
 
     def side(rule, shift=None):
-        # the shift, weighted mean |f - shift|^2 per radius and (h, n_rad, 4) channels:
-        # weighted Re, Im of mode k and of mode m-k (0 where m-k is k)
-        f = np.asarray(value_fn(rule.nodes), dtype=complex).reshape(n_rad, m)
-        if not np.all(np.isfinite(f)):
-            raise ConvergenceError("integrand is non-finite at a quadrature node")
-        shift = f[0, 0] if shift is None else shift
-        f = f - shift
-        spec = np.fft.fft(f, axis=1)
-        spec *= rule.radial_w[:, None]
-        chans = np.empty((h, n_rad, 2), dtype=complex)
-        chans[..., 0] = spec[:, :h].T
-        np.multiply(spec[:, -k % m].T, ((2 * k) % m != 0)[:, None], out=chans[..., 1])
-        return shift, rule.radial_w * np.mean(np.abs(f) ** 2, axis=1), chans.view(float)
+        # the shift, weighted mean |f - shift|^2 per radius (Parseval), weighted channels
+        ring = np.zeros((n_rad, 2 * k.size), dtype=complex)  # modes k, then modes m - k
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite msq raises below
+            terms = a[n] * rule.nodes[::m].real[:, None] ** n  # a_n r_i^n
+            shift = np.sum(terms[0]) if shift is None else shift
+            np.add.at(ring, (slice(None), col), terms)
+            ring[:, 0] -= shift
+            msq = rule.radial_w * np.sum(ring.real**2 + ring.imag**2, axis=1)
+        if not np.all(np.isfinite(msq)):  # finite only if every mode of every ring is
+            raise ConvergenceError("ring spectrum of f is non-finite on a quadrature rule")
+        ring *= rule.radial_w[:, None]
+        chans = ring.reshape(n_rad, 2, -1).transpose(2, 0, 1)  # (modes, n_rad, 2) complex
+        return shift, msq, np.ascontiguousarray(chans).view(float)
 
     shift, msq_z, chan_z = side(rule_z)
-    msq_w, chan_w = (msq_z, chan_z) if same else side(rule_w, shift)[1:]
+    msq_w, chan_w = (msq_z, chan_z) if rule_w is rule_z else side(rule_w, shift)[1:]
     sq_z = np.stack([msq_z, rule_z.radial_w], 1)
     sq_w = np.stack([rule_w.radial_w, msq_w], 1)
 
     parts = []
     for lo in range(0, n_rad, _RADIAL_BLOCK):
         hi = min(lo + _RADIAL_BLOCK, n_rad)
-        kern = spectrum[:, lo:hi]  # (h, b, n_rad)
+        kern = spectrum[k, lo:hi]  # (modes, b, n_rad)
         cross = np.sum(chan_z[:, lo:hi] * np.matmul(kern, chan_w))
         square = np.sum(sq_z[lo:hi] * (kern[0] @ sq_w))  # Khat_0 w_i w_j (|f_i|^2 + |f_j|^2)
-        parts.append(square / m - 2.0 * cross / m**3)
+        parts.append((square - 2.0 * cross) / m)
     total = float(np.sum(np.asarray(parts)))
     return rule_z.normalization * rule_w.normalization * total
 
@@ -257,7 +257,7 @@ def pairwise_difference_integral(
 def double_integral_functional(
     f, params: WeightParams, settings: QuadratureSettings = QuadratureSettings()
 ) -> NormResult:
-    """Refinement-driven evaluation of the pairwise double-integral functional of f.value.
+    """Refinement-driven evaluation of the pairwise double-integral functional of a series f.
 
     Expected to lose accuracy (and eventually fail with ConvergenceError)
     as beta approaches the upper endpoint of the window while f has large
@@ -266,7 +266,7 @@ def double_integral_functional(
     q = params.q_exponent
 
     def functional(n_rad, n_ang):
-        return pairwise_difference_integral(f.value, params.sigma, params.tau, q, n_rad, n_ang)
+        return pairwise_difference_integral(f, params.sigma, params.tau, q, n_rad, n_ang)
 
     refined = refine_until(settings, functional)
     return NormResult(

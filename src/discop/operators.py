@@ -25,8 +25,8 @@ depends on the radii and the angle difference only, and a Mobius map's is
 the kernel of z times separable node weights, so for both the engine sums a
 circular correlation along the angle by a real FFT, from one kernel row per
 radius; other symbols take the upper-triangle route, a direct node-pair sum.
-The lift's route identity still compares two different summations: the
-spectral pairwise integral and this Gram-form engine.
+The lift's route identity compares two different summations: this engine
+evaluates f at the nodes, the pairwise integral reads f's coefficients.
 
 The rank-sufficiency check inspects the diagonal bidisc symbol
 Phi(z1, z2) = (phi(z1), phi(z2)): its boundary derivative is diagonal with
@@ -120,7 +120,7 @@ def lift_norm_check(
     q = params.q_exponent
 
     def d_eval(n_rad, n_ang):
-        return pairwise_difference_integral(f.value, sigma, sigma, q, n_rad, n_ang)
+        return pairwise_difference_integral(f, sigma, sigma, q, n_rad, n_ang)
 
     # Bergman route: direct pair summation of the squared lift modulus (the
     # lift exponent is q/2, so the squared modulus carries the kernel power

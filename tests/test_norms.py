@@ -208,16 +208,26 @@ def test_homogeneity(scale):
 
 def test_bergman_difference():
     # iint |z - w|^2 dA_1 dA_1 = 2/3 at q = 0, through the brute-force pair
-    # engine (identity symbol) and the FFT pairwise integral alike
+    # engine (identity symbol) and the spectral pairwise integral alike
     (pair_sum,), _, _ = _composed_pair_sums([lambda z: z], Identity(), 1.0, 0.0, 8, 16)
     assert pair_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
-    fft_sum = pairwise_difference_integral(lambda z: z, 1.0, 1.0, 0.0, 8, 16)
-    assert fft_sum == pytest.approx(2.0 / 3.0, rel=1e-12)
+    spectral = pairwise_difference_integral(TruncatedPowerSeries.monomial(1), 1.0, 1.0, 0.0, 8, 16)
+    assert spectral == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 # --- pairwise double integral ------------------------------------------------
 
 _QUINTIC = TruncatedPowerSeries([0.7 - 0.2j, 1.0, -0.5j, 0.0, 0.25, 0.3])
+
+
+class _Unevaluated(TruncatedPowerSeries):
+    """A series whose nodal values fail the test: the pairwise route reads coefficients."""
+
+    def value(self, z):
+        pytest.fail("f evaluated at quadrature nodes")
+
+
+_UNEVALUATED = _Unevaluated(_QUINTIC.coeffs)
 
 
 def _direct_pair_sum(f, sigma, tau, q, n_rad, n_ang):
@@ -234,16 +244,65 @@ def _direct_pair_sum(f, sigma, tau, q, n_rad, n_ang):
 @pytest.mark.parametrize("q", [0.0, 5.0, 5.8])
 @pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
 def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
-    def value_fn(z):
-        return _QUINTIC.value(z)
-
-    got = pairwise_difference_integral(value_fn, sigma, tau, q, n_rad, n_ang)
+    got = pairwise_difference_integral(_QUINTIC, sigma, tau, q, n_rad, n_ang)
     want = _direct_pair_sum(_QUINTIC, sigma, tau, q, n_rad, n_ang)
     assert got == pytest.approx(want, rel=1e-12)
     flat = pairwise_difference_integral(
-        lambda z: np.full_like(z, 2.5 - 1j), sigma, tau, q, n_rad, n_ang
+        TruncatedPowerSeries([2.5 - 1j]), sigma, tau, q, n_rad, n_ang
     )
     assert flat == 0.0
+
+
+@pytest.mark.parametrize("degree, n_rad, n_ang", [(20, 6, 16), (9, 5, 7)])
+@pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
+def test_pairwise_folds_degrees_past_the_angle_count(degree, n_rad, n_ang, sigma, tau):
+    # degrees n >= m alias onto mode n mod m, as the DFT of the nodal values folds them
+    coeffs = [0.3j, *(np.cos(n) + 1j * np.sin(2 * n) for n in range(1, degree + 1))]
+    f = TruncatedPowerSeries(coeffs)
+    got = pairwise_difference_integral(f, sigma, tau, 5.8, n_rad, n_ang)
+    assert got == pytest.approx(_direct_pair_sum(f, sigma, tau, 5.8, n_rad, n_ang), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [1e308, float("nan")])
+def test_pairwise_rejects_non_finite_ring_spectrum(bad):
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        pairwise_difference_integral(TruncatedPowerSeries([0.0, 1.0, bad]), 1.0, 1.0, 5.0, 8, 16)
+
+
+def _long_double_monomial_sums(degrees, sigma, tau, q, n_rad, n_ang):
+    """The nodal sums of z^n in long double.  Kernel and |z^n - w^n|^2 depend on the
+    radii and the angle difference only, so each radius pair's m^2 angle pairs are m."""
+    ld = np.longdouble
+    rules = [build_disc_rule(s, n_rad, n_ang) for s in (sigma, tau)]
+    r_z, r_w = (r.nodes[::n_ang].real.astype(ld) for r in rules)
+    w_z, w_w = (r.radial_w.astype(ld) for r in rules)
+    theta = 2 * np.arccos(ld(-1)) * np.arange(n_ang) / n_ang
+    deg = np.asarray(degrees)
+    cos = np.cos(np.outer(theta, np.r_[0, deg]))  # (m, 1 + degrees)
+    total = np.zeros(deg.size, dtype=ld)
+    for i in range(n_rad):
+        x = (r_z[i] * r_w)[:, None]
+        s = (1 - 2 * x * np.cos(theta) + x * x) ** (-ld(q) / 2) @ cos  # (n_rad, 1 + degrees)
+        pz, pw = r_z[i] ** deg, r_w[:, None] ** deg
+        diff = (pz * pz + pw * pw) * s[:, :1] - 2 * pz * pw * s[:, 1:]
+        total += w_z[i] * np.sum(w_w[:, None] * diff, axis=0)
+    return total * ld(rules[0].normalization) * ld(rules[1].normalization) / n_ang
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, beta, n_rad, n_ang, rel",
+    # 1e-12 with one rule; 2e-10 is the expanded square's cancellation scale on the
+    # outer radius pairs with two (6.8e-14, 7.3e-11 and 1.8e-12 measured)
+    [(1.0, 1.0, 0.5, 64, 256, 1e-12), (0.3, 0.2, 0.1, 128, 512, 2e-10),
+     (1.5, 0.6, 0.9, 64, 256, 2e-10)],
+)
+def test_pairwise_matches_long_double_nodal_sum(sigma, tau, beta, n_rad, n_ang, rel):
+    q = 2.0 * (beta + 2.0)
+    want = _long_double_monomial_sums((1, 2, 4, 8), sigma, tau, q, n_rad, n_ang)
+    for n, ref in zip((1, 2, 4, 8), want):
+        got = pairwise_difference_integral(TruncatedPowerSeries.monomial(n), sigma, tau, q,
+                                           n_rad, n_ang)
+        assert float(abs(np.longdouble(got) - ref) / ref) <= rel
 
 
 #: (sigma, tau, q, n_rad, n_ang): two or more radial blocks each; sigma = tau shares one rule
@@ -253,8 +312,7 @@ _BLAS_CASES = [(1.5, 0.6, 5.8, 32, 64), (1.0, 1.0, 5.0, 64, 256), (1.0, 1.0, 5.0
 
 def _pairwise_bits():
     return " ".join(
-        pairwise_difference_integral(lambda z: _QUINTIC.value(z), *case).hex()
-        for case in _BLAS_CASES
+        pairwise_difference_integral(_QUINTIC, *case).hex() for case in _BLAS_CASES
     )
 
 
@@ -273,24 +331,17 @@ def test_pairwise_independent_of_blas_threads():
 @pytest.mark.parametrize(
     "n_rad, n_ang, sigma, tau, q, bits",
     [
-        (32, 128, 1.0, 1.0, 5.0, "0x1.f74d49f2b7314p-1"),
-        (32, 128, 1.5, 0.6, 5.8, "0x1.be0d03d32f133p+0"),
-        (64, 256, 1.0, 1.0, 5.0, "0x1.f79a46ae374d8p-1"),
-        (64, 256, 1.5, 0.6, 5.8, "0x1.bde8f38b1257ep+0"),
-        (128, 512, 1.0, 1.0, 5.0, "0x1.f7a9e43b45b53p-1"),
-        (128, 512, 1.5, 0.6, 5.8, "0x1.bcfb3820158b9p+0"),
+        (32, 128, 1.0, 1.0, 5.0, "0x1.f74d49f2b7394p-1"),
+        (32, 128, 1.5, 0.6, 5.8, "0x1.be0d03d32f134p+0"),
+        (64, 256, 1.0, 1.0, 5.0, "0x1.f79a46ae378d8p-1"),
+        (64, 256, 1.5, 0.6, 5.8, "0x1.bde8f38b12577p+0"),
+        (128, 512, 1.0, 1.0, 5.0, "0x1.f7a9e43b4595cp-1"),
+        (128, 512, 1.5, 0.6, 5.8, "0x1.bcfb3820058a6p+0"),
     ],
 )
 def test_pairwise_frozen_bits_and_one_evaluation_per_rule(n_rad, n_ang, sigma, tau, q, bits):
-    # bits of the strided-product form with a rule per side; sigma = tau evaluates f once
-    calls = []
-
-    def value_fn(z):
-        calls.append(z.size)
-        return _QUINTIC.value(z)
-
-    assert pairwise_difference_integral(value_fn, sigma, tau, q, n_rad, n_ang).hex() == bits
-    assert calls == [n_rad * n_ang] * (1 if sigma == tau else 2)
+    # bits of the coefficient-spectrum form with a rule per side; f is evaluated at no node
+    assert pairwise_difference_integral(_UNEVALUATED, sigma, tau, q, n_rad, n_ang).hex() == bits
 
 
 @pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.0, 1.0, 16, 64), (1.5, 0.6, 8, 30)])
@@ -308,9 +359,7 @@ def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad,
 )
 def test_pairwise_same_bits_cold_cached_and_cleared(sigma, tau, n_rad, n_ang):
     def value():
-        return pairwise_difference_integral(
-            lambda z: _QUINTIC.value(z), sigma, tau, 5.8, n_rad, n_ang
-        ).hex()
+        return pairwise_difference_integral(_QUINTIC, sigma, tau, 5.8, n_rad, n_ang).hex()
 
     _kernel_spectrum.cache_clear()
     cold = value()
@@ -354,9 +403,7 @@ def test_two_alternating_ladders_build_each_level_once():
 @pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
 def test_pairwise_warm_call_builds_no_rule(monkeypatch, sigma, tau):
     def value():
-        return pairwise_difference_integral(
-            lambda z: _QUINTIC.value(z), sigma, tau, 5.8, 16, 64
-        ).hex()
+        return pairwise_difference_integral(_QUINTIC, sigma, tau, 5.8, 16, 64).hex()
 
     _kernel_spectrum.cache_clear()
     cold = value()
@@ -430,7 +477,7 @@ def test_double_integral_linear_matches_pinned_oracle():
 
 def test_brute_force_4x_matches_series_oracle():
     s = TruncatedPowerSeries.monomial(1)
-    val = pairwise_difference_integral(lambda z: s.value(z), 1.0, 1.0, 5.0, 128, 512)
+    val = pairwise_difference_integral(s, 1.0, 1.0, 5.0, 128, 512)
     assert val == pytest.approx(V1_QUAD_4X, rel=1e-12)
     assert val == pytest.approx(V1_SERIES, rel=2e-5)
 
