@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError, ParamError
 from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params
-from .operators import _BLOCK
+from .operators import _TILE
 from .quadrature import QuadratureSettings
 from .series import TruncatedPowerSeries, coefficients_of
 from .symbols import Blaschke, FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation
@@ -119,8 +119,8 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
 
     equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level;
     norm: the rule's nodes and weights, 24 n_rad m, at the last level;
-    bound-check: those, or the pair engine's one 512 x N float block on its
-    base rule of N nodes, whichever is larger.
+    bound-check: those, or on its base rule of N nodes the pair engine's tile
+    workspace, 8 x 3 x 16 x N, or the kernel spectrum, whichever is largest.
     """
     # 64 factor steps put any rule past any memory, so the powers stop there
     base = q.refinement_factor ** min(refine, 64)
@@ -130,8 +130,8 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
         return 8 * (m // 2 + 1) * n_rad**2
     need = 24 * n_rad * m
     if command == "bound-check":
-        nodes = q.radial_count * q.angular_count * base**2
-        need = max(need, 8 * min(_BLOCK, nodes) * nodes)
+        n_rad, m = q.radial_count * base, q.angular_count * base
+        need = max(need, 8 * 3 * _TILE * n_rad * m, 8 * (m // 2 + 1) * n_rad**2)
     return need
 
 

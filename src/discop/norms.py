@@ -172,21 +172,24 @@ def dirichlet_norm_sq_quad(
 #: family ladder never evicts a level the next member needs; a count, not bytes (the memory
 #: rule sizes one command's last level)
 @lru_cache(maxsize=2 * (QuadratureSettings.max_refinements + 1))
-def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int):
-    """Everything f-blind of one pairwise rule: (spectrum, rule_z, rule_w).
+def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int, power: int):
+    """Everything f-blind of one ring-kernel rule: (spectrum, rule_z, rule_w).
 
-    The spectrum is read-only and real, (m//2 + 1, n_rad, n_rad) floats, built one z radius
-    at a time: half-angle kernel, mirrored, one real FFT per radius pair.  Stored in (i, k, j)
-    order and returned as its (k, i, j) view, so every mode's slab of z radii has unit stride
-    over the w radii and its products go through BLAS.  rule_w is rule_z when sigma = tau.
+    The spectrum is the DFT along the angle of |1 - (z conj w)^power|^(-q) between every
+    pair of rings, self pairs included: power 1 for the pairwise integral, the m of c z^m
+    (1 for a Mobius map) for the composed pair engine, passed positionally, one key each.
+    It is read-only and real, (m//2 + 1, n_rad, n_rad) floats, built one z radius at a time:
+    half-angle kernel, mirrored, one real FFT per radius pair.  Stored in (i, k, j) order and
+    returned as its (k, i, j) view, so every mode's slab of z radii has unit stride over the
+    w radii and its products go through BLAS.  rule_w is rule_z when sigma = tau.
     """
     m, h = n_ang, n_ang // 2 + 1
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
     rule_w = rule_z if sigma == tau else build_disc_rule(tau, n_rad, n_ang)
     r_z, r_w = (np.sqrt(_jacobi_01(float(s), int(n_rad))[0]) for s in (sigma, tau))
-    cos_h = np.cos(2.0 * np.pi * np.arange(h) / m)
+    cos_h = np.cos(2.0 * np.pi * (power * np.arange(h) % m) / m)
     spectrum = np.empty((n_rad, h, n_rad))
-    for i, x in enumerate(r_z[:, None] * r_w):
+    for i, x in enumerate((r_z[:, None] * r_w) ** power):
         half = 1.0 / powq(1.0 - 2.0 * x[:, None] * cos_h + (x**2)[:, None], q)
         spectrum[i] = np.fft.rfft(np.concatenate([half, half[:, m - h:0:-1]], axis=1)).real.T
     spectrum.setflags(write=False)
@@ -214,7 +217,7 @@ def pairwise_difference_integral(
     (f at the first z node, less a_0): a constant gives exactly 0, and an f close
     to a constant does not cancel in the expanded square.
     """
-    spectrum, rule_z, rule_w = _kernel_spectrum(sigma, tau, q, n_rad, n_ang)
+    spectrum, rule_z, rule_w = _kernel_spectrum(sigma, tau, q, n_rad, n_ang, 1)
     m = n_ang
     a = np.asarray(f.coeffs, dtype=complex)
     n = np.flatnonzero(a[1:]) + 1  # occupied degrees

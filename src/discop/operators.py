@@ -23,8 +23,8 @@ be asserted at round-off level.  The engine works in Gram form, one product
 for all members.  For phi = c z^m (the identity among them) the kernel
 depends on the radii and the angle difference only, and a Mobius map's is
 the kernel of z times separable node weights, so for both the engine sums a
-circular correlation along the angle by a real FFT, from one kernel row per
-radius; other symbols take the upper-triangle route, a direct node-pair sum.
+circular correlation along the angle by a real FFT on the pairwise integral's
+cached ring-kernel spectrum; other symbols take the upper-triangle route.
 The lift's route identity compares two different summations: this engine
 evaluates f at the nodes, the pairwise integral reads f's coefficients.
 
@@ -49,6 +49,7 @@ from .errors import ConvergenceError, ParamError
 from .kernels import SupEstimate, Verdict, estimate_sup
 from .norms import (
     NormResult,
+    _kernel_spectrum,
     dirichlet_norm_sq_coeff,
     dirichlet_norm_sq_quad,
     pairwise_difference_integral,
@@ -58,10 +59,9 @@ from .quadrature import QuadratureSettings, _rel_change, build_disc_rule
 from .series import TruncatedPowerSeries
 from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
 
-#: rows per block of the composed pair engine, rows per tile of its elementwise
-#: chain, and the block corner's zeroed part (the lower triangle and diagonal)
-_BLOCK, _TILE = 512, 16
-_LOWER = np.tri(_BLOCK, dtype=bool)
+#: rows per tile of the composed pair engine, and its corner's zeroed lower triangle and diagonal
+_TILE = 16
+_LOWER = np.tri(_TILE, dtype=bool)
 #: largest relative gap between the lift's two routes on one rule
 _ROUTE_TOL = 1e-8
 #: rank scan: boundary grid size, the |phi| band counted as contact, and the
@@ -317,7 +317,7 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     map's reciprocal kernel power is that one times g_i g_j, with
     g = (|1 - conj(a) z|^2 / (1 - |a|^2))^(q/2) (g = 1 for c z^m), so
     P = g * route(g * rhs) with no cancelling 1 - |phi|^2.  Every other
-    symbol takes the general route, the strict upper triangle in row blocks,
+    symbol takes the general route, the strict upper triangle in row tiles,
     on u = phi.  With ``sup_q`` given, ``_majorization_violations`` then
     counts each member's violating node pairs on u = z^m for c z^m and on
     u = phi otherwise.  Returns (values, violations, pairs); violations is
@@ -338,77 +338,59 @@ def _composed_pair_sums(value_fns, symbol, sigma, q, n_rad, n_ang, sup_q=None):
     zeros = symbol.zeros if isinstance(symbol, Blaschke) else ()
     if len(zeros) == 1 or (zeros and not any(zeros)):
         # c z^m (a = 0, so g = 1) or a Mobius map (m = 1, its count on phi)
-        a, z_m = zeros[0], nodes ** len(zeros)
+        a, power = zeros[0], len(zeros)
         g = powq(abs_sq(1.0 - np.conj(a) * nodes) / ((1.0 - abs(a)) * (1.0 + abs(a))), q)[:, None]
-        p, scale = g * _rotation_invariant_products(z_m, n_ang, q, g * rhs), 1.0
-        u = phi_vals if a else z_m
+        spectrum = _kernel_spectrum(sigma, sigma, q, n_rad, n_ang, power)[0]
+        p, scale = g * _rotation_invariant_products(spectrum, g * rhs), 1.0
+        u = phi_vals if a else nodes**power
     else:
         u = phi_vals
         p, scale = _upper_triangle_products(u, q, rhs), 2.0
-    parts = []
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        vb, pb = v[lo:hi], p[lo:hi]
-        cross = vb.real * pb[:, 1 + count : 1 + 2 * count] + vb.imag * pb[:, 1 + 2 * count :]
-        term = v_sq[lo:hi] * pb[:, :1] + pb[:, 1 : 1 + count] - 2.0 * cross
-        parts.append(np.sum(weights[lo:hi, None] * term, axis=0))
-    values = [scale * float(x) for x in np.sum(np.asarray(parts), axis=0)]
+    cross = v.real * p[:, 1 + count : 1 + 2 * count] + v.imag * p[:, 1 + 2 * count :]
+    term = v_sq * p[:, :1] + p[:, 1 : 1 + count] - 2.0 * cross
+    values = [scale * float(x) for x in np.sum(weights[:, None] * term, axis=0)]
     violations = None if sup_q is None else _majorization_violations(nodes, u, f_vals, q, sup_q)
     return values, violations, total**2
 
 
 def _upper_triangle_products(u, q, rhs):
-    """P over the strict upper triangle (the integrand is symmetric), in row blocks.
+    """P over the strict upper triangle (the integrand is symmetric), in row tiles.
 
-    Each block's squared kernel is one rank-4 product into a workspace reused
-    across blocks; powq, reciprocal and zeroed corner run over row tiles that
-    stay in cache.  At some node counts (648, 679 and 720 among them) the
-    BLAS library rounds these products differently at 1 and 2 threads.
+    Each tile of 16 rows takes its squared kernel from one rank-4 product, then
+    powq, the reciprocal and the zeroed corner (the diagonal and the part below
+    it), all in one workspace reused across tiles, and its rows of P from one
+    more product; these products round alike at 1 and 2 BLAS threads.
     """
     total, p = len(u), np.empty(rhs.shape)
     left, right = _kernel_sq_factors(u)
-    block, tile = np.empty(min(_BLOCK, total) * total), np.empty(2 * _TILE * total)
-    for lo in range(0, total, _BLOCK):
-        hi, cols = min(lo + _BLOCK, total), total - lo
+    space = np.empty(3 * _TILE * total)
+    for lo in range(0, total, _TILE):
+        hi, cols = min(lo + _TILE, total), total - lo
         rows = hi - lo
-        kernel = np.matmul(left[lo:hi], right[:, lo:], out=block[: rows * cols].reshape(rows, cols))
-        for t in range(0, rows, _TILE):
-            s = min(t + _TILE, rows)
-            comp_sq, work = kernel[t:s], tile[: 2 * (s - t) * cols].reshape(2, s - t, cols)
-            np.divide(1.0, powq(comp_sq, q, work), out=comp_sq)
-            # the block corner [lo:hi, lo:hi] carries the diagonal; it and the
-            # part below it (within these rows, columns :s) are zeroed
-            comp_sq[:, :s][_LOWER[t:s, :s]] = 0.0
-        p[lo:hi] = kernel @ rhs[lo:]
+        tile = np.matmul(left[lo:hi], right[:, lo:], out=space[: rows * cols].reshape(rows, cols))
+        work = space[rows * cols : 3 * rows * cols].reshape(2, rows, cols)
+        np.divide(1.0, powq(tile, q, work), out=tile)
+        tile[:, :rows][_LOWER[:rows, :rows]] = 0.0
+        np.matmul(tile, rhs[lo:], out=p[lo:hi])
     return p
 
 
-def _rotation_invariant_products(u, n_ang, q, rhs):
+def _rotation_invariant_products(spectrum, rhs):
     """P for u = z^m, whose kernel depends on the radii and the angle difference only.
 
-    |1 - u_i conj(u_j)|^2 = |1 - (z conj(w))^m|^2.  Row i of D holds the kernel
-    between the (real) angle-0 node r_i and every node (j, d); it is even in
-    d, and node (i, a) has it rolled by a, so
-    P[(i, a)] = sum_{j,d} D[i, (j, d)] rhs[(j, (a + d) mod M)] is a circular
-    correlation along the angle.  A real FFT diagonalizes it: per tile of
-    radii the rows' spectrum is real, and each frequency takes one real
-    product of it with the spectrum of rhs (viewed as floats); one inverse
-    FFT ends the pass.
+    D between nodes (i, a) and (j, b) is the kernel of the rings r_i, r_j at the
+    angle b - a, even in it, so P[(i, a)] = sum_{j,d} D[(i, 0), (j, d)]
+    rhs[(j, (a + d) mod M)] is a circular correlation along the angle.  A real
+    FFT diagonalizes it: the kernel's spectrum is real (``spectrum``, from
+    ``_kernel_spectrum``, whose self pairs add w_i |V_i - V_i|^2 = 0), and each
+    frequency takes one real product of it with the spectrum of rhs (viewed as
+    floats); one inverse FFT ends the pass.
     """
-    total, cols = rhs.shape
-    n_rad = total // n_ang
-    left, right = _kernel_sq_factors(u)
+    n_rad, (total, cols) = spectrum.shape[1], rhs.shape
+    n_ang = total // n_rad
     rhs_hat = np.fft.rfft(rhs.reshape(n_rad, n_ang, cols), axis=1).transpose(1, 0, 2)
     rhs_hat = np.ascontiguousarray(rhs_hat).view(float)  # [k, j, (c, re/im)]
-    p_hat = np.empty(rhs_hat.shape)
-    for t0 in range(0, n_rad, _TILE):
-        t1 = min(t0 + _TILE, n_rad)
-        comp_sq = left[::n_ang][t0:t1] @ right  # from each radius's angle-0 node
-        ring = np.divide(1.0, powq(comp_sq, q), out=comp_sq).reshape(t1 - t0, n_rad, n_ang)
-        ring[np.arange(t1 - t0), np.arange(t0, t1), 0] = 0.0  # the diagonal
-        spectrum = np.fft.rfft(ring, axis=2).real.transpose(2, 0, 1)  # [k, i, j]
-        p_hat[:, t0:t1] = np.ascontiguousarray(spectrum) @ rhs_hat
-    p = np.fft.irfft(p_hat.view(complex), n=n_ang, axis=0)  # [a, i, c]
+    p = np.fft.irfft(np.matmul(spectrum, rhs_hat).view(complex), n=n_ang, axis=0)  # [a, i, c]
     return p.transpose(1, 0, 2).reshape(total, cols)
 
 

@@ -830,25 +830,37 @@ def _memory(monkeypatch, size):
     monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}.get)
 
 
-def test_bound_check_quadrature_bound_is_the_pair_engine_blocks(monkeypatch):
+@pytest.mark.parametrize("radial_count, angular_count, max_refinements, need", [
+    # the pair engine's tile workspace, 3 x 16 floats per node of the 2^20-node base rule
+    (8, 2**17, 1, 8 * 3 * 16 * 2**20),
+    # the base rule's kernel spectrum, (m//2 + 1) n_rad^2 floats
+    (1024, 64, 1, 8 * 33 * 1024**2),
+    # nodes and weights of the last rule, 128 x 2048
+    (16, 256, 3, 24 * 128 * 2048),
+], ids=["tile", "spectrum", "last-rule"])
+def test_bound_check_quadrature_bound_is_its_largest_array(
+    monkeypatch, radial_count, angular_count, max_refinements, need
+):
     config = {
         "command": "bound-check",
         "symbol": {"type": "monomial", "k": 2},
         "family": "monomials:1..2",
         "params": {"sigma": 1.0, "beta": 0.5},
-        "quadrature": {"radial_count": 8, "angular_count": 2**17},
+        "quadrature": {"radial_count": radial_count, "angular_count": angular_count,
+                       "max_refinements": max_refinements},
     }
-    # one 512 x N float block on the 2^20-node base rule: 4.3 GB, above the
-    # kernel spectrum (2.1 GB) that bound-check never builds
-    need = 8 * 512 * 2**20
     _memory(monkeypatch, need)
-    assert parse_config(config).quadrature.angular_count == 2**17
+    assert parse_config(config).quadrature.angular_count == angular_count
     _memory(monkeypatch, need - 1)
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert info.value.field == "quadrature"
-    # --refine sizes the block on the refined base rule
-    small = dict(config, quadrature={"radial_count": 8, "angular_count": 2**15})
+    # --refine sizes the arrays on the refined ladder
+    small = dict(config, quadrature={"radial_count": radial_count // 2,
+                                     "angular_count": angular_count // 2,
+                                     "max_refinements": max_refinements})
+    _memory(monkeypatch, need)
+    assert apply_overrides(parse_config(small), refine=1).quadrature.angular_count == angular_count
     _memory(monkeypatch, need - 1)
     with pytest.raises(ConfigError) as info:
         apply_overrides(parse_config(small), refine=1)

@@ -346,7 +346,7 @@ def test_pairwise_frozen_bits_and_one_evaluation_per_rule(n_rad, n_ang, sigma, t
 
 @pytest.mark.parametrize("sigma, tau, n_rad, n_ang", [(1.0, 1.0, 16, 64), (1.5, 0.6, 8, 30)])
 def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad, n_ang):
-    spectrum = _kernel_spectrum(sigma, tau, 5.8, n_rad, n_ang)[0]
+    spectrum = _kernel_spectrum(sigma, tau, 5.8, n_rad, n_ang, 1)[0]
     assert spectrum.shape == (n_ang // 2 + 1, n_rad, n_rad)
     assert all(spectrum[k].strides[-1] == spectrum.itemsize for k in range(spectrum.shape[0]))
     ladder = QuadratureSettings(radial_count=n_rad // 2, angular_count=n_ang // 2,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import discop
 from discop._numutil import powq
 from discop.errors import ConvergenceError, ParamError
-from discop.norms import WeightParams, double_integral_functional
+from discop.norms import WeightParams, _kernel_spectrum, double_integral_functional
 from discop.operators import (
     VIOLATION_REL_TOL,
     _composed_pair_sums,
@@ -334,8 +334,8 @@ def test_bound_check_rejects_constant_member_in_last_place():
 ENGINE_SYMBOL = FiniteBlaschke(zeros=(0.4 + 0.2j, -0.3j), post_rotation=0.7)
 ENGINE_FAMILY = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.5, -1.0j]),
                  TruncatedPowerSeries([1.0, 0.0, 0.0, 0.3 + 0.4j])]
-# 10 x 64 = 640 nodes: two row blocks of the engine, the second one short
-TWO_BLOCK_RULE = (1.0, 5.0, 10, 64)
+# 10 x 64 = 640 nodes: 40 whole row tiles of the engine (SEAM_RULE ends on a partial one)
+WHOLE_TILES_RULE = (1.0, 5.0, 10, 64)
 
 
 def _dense_kernels(symbol, sigma, q, n_rad, n_ang):
@@ -421,9 +421,9 @@ def test_composed_pair_sums_match_full_matrix_reference():
 
 
 def test_composed_pair_sums_match_full_matrix_reference_across_blocks():
-    """The block seam, the second corner mask and the per-block products."""
-    assert 512 < TWO_BLOCK_RULE[2] * TWO_BLOCK_RULE[3] < 1024
-    _assert_full_matrix_reference(*TWO_BLOCK_RULE)
+    """Every tile's corner mask and products, over 40 tiles."""
+    assert WHOLE_TILES_RULE[2] * WHOLE_TILES_RULE[3] % 16 == 0
+    _assert_full_matrix_reference(*WHOLE_TILES_RULE)
 
 
 def test_composed_pair_sums_blind_to_constants():
@@ -450,7 +450,7 @@ def test_composed_pair_sums_blind_to_constants():
 def _engine_bits():
     values, _, _ = _composed_pair_sums(
         [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)],
-        ENGINE_SYMBOL, *TWO_BLOCK_RULE, sup_q=1.0,
+        ENGINE_SYMBOL, *WHOLE_TILES_RULE, sup_q=1.0,
     )
     return " ".join(float(x).hex() for x in values)
 
@@ -483,7 +483,7 @@ def test_powq_matches_np_power_in_place(q):
     assert np.shares_memory(got, base) or np.shares_memory(got, work)
 
 
-# 7 x 97 = 679 nodes: the second block has 167 rows, not a whole number of tiles
+# 7 x 97 = 679 nodes: the last tile has 7 rows, not a whole tile
 SEAM_RULE = (1.0, 7, 97)
 
 
@@ -491,29 +491,25 @@ SEAM_RULE = (1.0, 7, 97)
 def test_composed_pair_sums_match_full_matrix_reference_at_tile_seam(q):
     """Odd and even binary powers, several set bits, and the np.power path."""
     sigma, n_rad, n_ang = SEAM_RULE
-    assert (n_rad * n_ang - 512) % 16
+    assert (n_rad * n_ang) % 16
     _assert_full_matrix_reference(sigma, q, n_rad, n_ang)
 
 
 def _seam_bits():
-    values, violations, _ = _composed_pair_sums(
-        [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)],
-        ENGINE_SYMBOL, SEAM_RULE[0], 5.0, *SEAM_RULE[1:], sup_q=1.0,
-    )
-    return " ".join([float(x).hex() for x in values] + [str(violations)])
+    fns = [TruncatedPowerSeries.monomial(n).value for n in (1, 2, 3)]
+    out = []
+    for rule in ((10, 64), (8, 81), (8, 83), (7, 97), (9, 80), (48, 192)):
+        for sup_q in (None, 1.0):
+            values, violations, _ = _composed_pair_sums(
+                fns, ENGINE_SYMBOL, SEAM_RULE[0], 5.0, *rule, sup_q=sup_q)
+            out += [float(x).hex() for x in values] + [str(violations)]
+    return " ".join(out)
 
 
-@pytest.mark.xfail(reason="at 679 nodes OpenBLAS rounds the engine's products differently "
-                          "at 1 and 2 threads, as it did before the workspaces")
 def test_composed_pair_sums_at_tile_seam_independent_of_blas_threads():
-    paths = [os.path.dirname(os.path.dirname(discop.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(paths))
-    done = subprocess.run(
-        [sys.executable, "-c", "import test_operators; print(test_operators._seam_bits())"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert done.stdout.strip() == _seam_bits()
+    """640, 648, 664, 679, 720 and 9,216 nodes on the general route, with and
+    without the majorization count: the same bits at 1 and 2 BLAS threads."""
+    assert _single_threaded("_seam_bits") == _seam_bits()
 
 
 # Mobius maps toward the circle, a two- and a three-zero product, and z^3
@@ -554,24 +550,27 @@ def _traced_peak(symbol, n_rad, n_ang, sup_q):
 
 @pytest.mark.parametrize("symbol, sup_q, blocks", [
     pytest.param(symbol, sup_q, blocks, id=f"{prefix}{sup_q}-{blocks}")
-    for prefix, symbol in (("", Identity()), ("general-", ENGINE_SYMBOL))
-    for sup_q, blocks in ((None, 1.5), (2.0, 1.5))
+    for prefix, symbol, blocks in (("", Identity(), 1.5), ("general-", ENGINE_SYMBOL, 0.5))
+    for sup_q in (None, 2.0)
 ])
 def test_composed_pair_sums_memory_is_one_block_per_kernel(symbol, sup_q, blocks):
-    """The traced peak of a pass stays near its one reused 512 x N workspace
-    on the general route, and below it on the rotation-invariant route
-    (identity), with the majorization check too."""
+    """The traced peak of a pass, in units of 512 x N floats: the general
+    route's tile workspace and products stay under half of one, with the
+    majorization check too."""
     n_rad, n_ang = 24, 96
     assert _traced_peak(symbol, n_rad, n_ang, sup_q) <= blocks * 512 * n_rad * n_ang * 8
 
 
 @pytest.mark.parametrize("n_rad, n_ang", [(640, 8), (1280, 4)])
 def test_monomial_route_memory_with_many_radii(n_rad, n_ang):
-    """More than 512 radii: the kernel rows come in tiles of 16 radii, so one
-    pass stays within the general route's bound (a table of every radius's
-    row alone would be 1.25 and 2.5 blocks here)."""
-    block = 512 * n_rad * n_ang * 8
-    assert _traced_peak(Monomial(2), n_rad, n_ang, 2.0) <= 2.5 * block
+    """Many radii and few angles: a cold pass holds the cached ring-kernel
+    spectrum, (m//2 + 1) n_rad^2 floats, and little besides it."""
+    _kernel_spectrum.cache_clear()
+    try:
+        spectrum = 8 * (n_ang // 2 + 1) * n_rad**2
+        assert _traced_peak(Monomial(2), n_rad, n_ang, 2.0) <= 1.5 * spectrum
+    finally:
+        _kernel_spectrum.cache_clear()
 
 
 # phi = c z^m: identity, a rotation, a monomial, and a unit != 1 on z^2
@@ -582,7 +581,7 @@ MONOMIAL_ROUTE = [Identity(), Rotation(0.7), Monomial(3),
 @pytest.mark.parametrize("n_rad, n_ang", [(6, 16), (10, 64), SEAM_RULE[1:]])
 @pytest.mark.parametrize("symbol", MONOMIAL_ROUTE, ids=lambda s: s.label)
 def test_monomial_route_matches_full_matrix_reference(symbol, n_rad, n_ang):
-    """One kernel row per radius gives the dense values and violation counts,
+    """The ring-kernel spectrum gives the dense values and violation counts,
     without and with a sup_q that some z^3 pairs violate; 97 angles are odd,
     so the real FFT has no Nyquist frequency."""
     sigma, q = 1.0, 5.0
@@ -654,7 +653,7 @@ def test_mobius_route_matches_extended_precision_near_the_circle():
 
 
 def test_mobius_route_memory_is_below_half_a_block():
-    """No 512 x N block: tiles of 16 kernel rows and the spectra of rhs."""
+    """The ring-kernel spectrum and the spectra of rhs: under half of 512 x N floats."""
     n_rad, n_ang = 32, 128
     assert _traced_peak(MobiusAuto(0.5), n_rad, n_ang, 2.0) <= 0.5 * 512 * n_rad * n_ang * 8
 
@@ -672,6 +671,25 @@ def _monomial_route_bits():
 
 def test_monomial_route_independent_of_blas_threads():
     """679, 648, 720, 4,096 and 9,216 nodes, and a Mobius map at 679: the
-    route's products round alike at 1 and 2 BLAS threads, 679 included,
-    where the general route's do not."""
+    route's products round alike at 1 and 2 BLAS threads."""
     assert _single_threaded("_monomial_route_bits") == _monomial_route_bits()
+
+
+def test_engine_and_pairwise_integral_share_the_kernel_spectrum_cache():
+    """z^2 and a Mobius map at 16x64 and 32x128, and the lift's two routes at
+    24x96 and 48x192: six spectra, built once each, the lift's shared by the
+    pairwise integral and the engine, none evicted by a second round."""
+    family = [TruncatedPowerSeries.monomial(1), TruncatedPowerSeries([0.0, 0.5, -1.0j])]
+    ladder = QuadratureSettings(radial_count=24, angular_count=96, max_refinements=1,
+                                target_rel_tol=0.1)
+    _kernel_spectrum.cache_clear()
+    try:
+        for _ in range(2):
+            for symbol in (Monomial(2), MobiusAuto(0.5, 1.3)):
+                bound_check(family, symbol, 1.0, 0.5)
+            res = lift_norm_check(TruncatedPowerSeries.monomial(3), 1.0, 0.5, settings=ladder)
+            assert [r[:2] for r in res.bergman_sq.trace] == [(24, 96), (48, 192)]
+        stats = _kernel_spectrum.cache_info()
+        assert (stats.misses, stats.currsize) == (6, 6)
+    finally:
+        _kernel_spectrum.cache_clear()
