@@ -117,7 +117,8 @@ def _fits(need, where):
 def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
     """Bytes of the largest arrays a command builds on its quadrature ladder.
 
-    equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level;
+    equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level, twice: a
+    dense series gathers a slab per mode, a copy as large as the spectrum;
     norm: the rule's nodes and weights, 24 n_rad m, at the last level;
     bound-check: those, or on its base rule of N nodes the pair engine's tile
     workspace, 8 x 3 x 16 x N, or the kernel spectrum, whichever is largest.
@@ -127,7 +128,7 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
     top = q.refinement_factor ** min(refine + q.max_refinements, 64)
     n_rad, m = q.radial_count * top, q.angular_count * top
     if command == "equivalence":
-        return 8 * (m // 2 + 1) * n_rad**2
+        return 2 * 8 * (m // 2 + 1) * n_rad**2
     need = 24 * n_rad * m
     if command == "bound-check":
         n_rad, m = q.radial_count * base, q.angular_count * base

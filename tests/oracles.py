@@ -13,8 +13,9 @@ The rearrangement needs absolute convergence, which holds strictly inside
 the parameter window (beta < (sigma+tau)/2) but FAILS at the upper endpoint,
 where the three pieces diverge individually and cancel to a spurious zero.
 The oracle therefore refuses endpoint parameters.  The algebraic tail decays
-like k^-(p+1) with p = sigma+tau-2*beta; partial sums are Richardson-
-extrapolated in K^-p.
+like k^-(p+1) with p = sigma+tau-2*beta, so a partial sum to K misses
+sum_j c_j K^-(p+j); Richardson extrapolation eliminates those terms one
+exponent at a time.
 
 This route shares nothing with the library's quadrature: no disc rules, no
 FFTs, no node sets.
@@ -69,8 +70,8 @@ def pairwise_series_oracle(n, sigma, tau, beta, kmax=2**21, levels=4):
     q = 2.0 * (beta + 2.0)
     s = q / 2.0
 
-    def partial(count):
-        k = np.arange(count, dtype=float)
+    def terms(lo, hi):
+        k = np.arange(lo, hi, dtype=float)
         logc = gammaln(k + s) - gammaln(s) - gammaln(k + 1.0)
         logc_n = gammaln(k + n + s) - gammaln(s) - gammaln(k + n + 1.0)
         lms_k = np.log(sigma + 1.0) + betaln(k + 1.0, sigma + 1.0)
@@ -79,15 +80,23 @@ def pairwise_series_oracle(n, sigma, tau, beta, kmax=2**21, levels=4):
         lmt_kn = np.log(tau + 1.0) + betaln(k + n + 1.0, tau + 1.0)
         plus = np.exp(2 * logc + lms_kn + lmt_k) + np.exp(2 * logc + lms_k + lmt_kn)
         minus = 2.0 * np.exp(logc + logc_n + lms_kn + lmt_kn)
-        return float(np.sum(plus - minus))
+        return plus - minus
 
+    # partial sums at K = kmax/2^(levels-1), ..., kmax, each extending the last
+    # in blocks of at most 2^20 terms
     counts = [kmax >> i for i in range(levels)][::-1]
-    vals = [partial(c) for c in counts]
-    hs = np.array([c ** (-p) for c in counts])
+    vals, total, lo = [], 0.0, 0
+    for count in counts:
+        for start in range(lo, count, 2**20):
+            total += float(np.sum(terms(start, min(start + 2**20, count))))
+        vals.append(total)
+        lo = count
+    # the tail is sum_j c_j K^-(p+j): Richardson eliminates p, p+1, ... in turn
     tab = list(vals)
-    for m in range(1, len(tab)):
-        for i in range(len(tab) - 1, m - 1, -1):
-            tab[i] = tab[i] + (tab[i] - tab[i - 1]) * hs[i] / (hs[i - m] - hs[i])
+    for j in range(1, len(tab)):
+        for i in range(len(tab) - 1, j - 1, -1):
+            ratio = (counts[i] / counts[i - 1]) ** (p + j - 1)
+            tab[i] = tab[i] + (tab[i] - tab[i - 1]) / (ratio - 1.0)
     return tab[-1]
 
 

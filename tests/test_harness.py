@@ -755,8 +755,9 @@ def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
             "quadrature": {"radial_count": 8, "angular_count": 16, "max_refinements": 1},
         }
     )
-    # refine 1 and one ladder step: the last level is 32 x 64
-    need = 8 * (64 // 2 + 1) * 32**2
+    # refine 1 and one ladder step: the last level is 32 x 64; its spectrum and, for a
+    # dense series, the slabs gathered from it
+    need = 2 * 8 * (64 // 2 + 1) * 32**2
     for memory, refused in ((need, False), (need - 1, True)):
         monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
         if refused:
@@ -816,8 +817,9 @@ def test_config_quadrature_bound_is_the_last_level_kernel_spectrum(monkeypatch):
         "params": {"sigma": 1.0, "beta": 0.5},
         "quadrature": {"radial_count": 64, "angular_count": 256, "max_refinements": 2},
     }
-    # two ladder steps: the last level is 256 x 1024, far above the other sizes
-    need = 8 * (1024 // 2 + 1) * 256**2
+    # two ladder steps: the last level is 256 x 1024, far above the other sizes; its
+    # spectrum and the slabs a dense series gathers from it
+    need = 2 * 8 * (1024 // 2 + 1) * 256**2
     monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}.get)
     assert parse_config(config).quadrature.radial_count == 64
     monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}.get)

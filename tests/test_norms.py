@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,17 @@ def test_pairwise_matches_direct_pair_sum(n_rad, n_ang, q, sigma, tau):
     assert flat == 0.0
 
 
+@pytest.mark.parametrize("n_rad", [15, 17, 33])
+@pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
+def test_pairwise_matches_direct_pair_sum_across_multiples_of_16_radii(n_rad, sigma, tau):
+    # the radii once went through the products 16 at a time; at q = 5 the expanded square's
+    # cancellation on the outer radius pairs stays below 1e-12 (at q = 5.8 and 33 radii it
+    # reaches 1.3e-11 against a long-double direct sum, 5.9e-12 with the 16-radius blocks)
+    got = pairwise_difference_integral(_QUINTIC, sigma, tau, 5.0, n_rad, 16)
+    want = _direct_pair_sum(_QUINTIC, sigma, tau, 5.0, n_rad, 16)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("degree, n_rad, n_ang", [(20, 6, 16), (9, 5, 7)])
 @pytest.mark.parametrize("sigma, tau", [(1.0, 1.0), (1.5, 0.6)])
 def test_pairwise_folds_degrees_past_the_angle_count(degree, n_rad, n_ang, sigma, tau):
@@ -292,8 +304,9 @@ def _long_double_monomial_sums(degrees, sigma, tau, q, n_rad, n_ang):
 @pytest.mark.parametrize(
     "sigma, tau, beta, n_rad, n_ang, rel",
     # 1e-12 with one rule; 2e-10 is the expanded square's cancellation scale on the
-    # outer radius pairs with two (6.8e-14, 7.3e-11 and 1.8e-12 measured)
-    [(1.0, 1.0, 0.5, 64, 256, 1e-12), (0.3, 0.2, 0.1, 128, 512, 2e-10),
+    # outer radius pairs with two (3.0e-14, 2.2e-14, 3.8e-14, 4.9e-11 and 6.6e-13 measured)
+    [(1.0, 1.0, 0.5, 32, 128, 1e-12), (1.0, 1.0, 0.5, 64, 256, 1e-12),
+     (1.0, 1.0, 0.5, 128, 512, 1e-12), (0.3, 0.2, 0.1, 128, 512, 2e-10),
      (1.5, 0.6, 0.9, 64, 256, 2e-10)],
 )
 def test_pairwise_matches_long_double_nodal_sum(sigma, tau, beta, n_rad, n_ang, rel):
@@ -305,7 +318,8 @@ def test_pairwise_matches_long_double_nodal_sum(sigma, tau, beta, n_rad, n_ang, 
         assert float(abs(np.longdouble(got) - ref) / ref) <= rel
 
 
-#: (sigma, tau, q, n_rad, n_ang): two or more radial blocks each; sigma = tau shares one rule
+#: (sigma, tau, q, n_rad, n_ang): 32 to 128 radii, each product through BLAS; sigma = tau
+#: shares one rule
 _BLAS_CASES = [(1.5, 0.6, 5.8, 32, 64), (1.0, 1.0, 5.0, 64, 256), (1.0, 1.0, 5.0, 128, 512),
                (1.5, 0.6, 5.8, 64, 256)]
 
@@ -331,12 +345,12 @@ def test_pairwise_independent_of_blas_threads():
 @pytest.mark.parametrize(
     "n_rad, n_ang, sigma, tau, q, bits",
     [
-        (32, 128, 1.0, 1.0, 5.0, "0x1.f74d49f2b7394p-1"),
-        (32, 128, 1.5, 0.6, 5.8, "0x1.be0d03d32f134p+0"),
-        (64, 256, 1.0, 1.0, 5.0, "0x1.f79a46ae378d8p-1"),
-        (64, 256, 1.5, 0.6, 5.8, "0x1.bde8f38b12577p+0"),
-        (128, 512, 1.0, 1.0, 5.0, "0x1.f7a9e43b4595cp-1"),
-        (128, 512, 1.5, 0.6, 5.8, "0x1.bcfb3820058a6p+0"),
+        (32, 128, 1.0, 1.0, 5.0, "0x1.f74d49f2b74bcp-1"),
+        (32, 128, 1.5, 0.6, 5.8, "0x1.be0d03d32ef50p+0"),
+        (64, 256, 1.0, 1.0, 5.0, "0x1.f79a46ae37abap-1"),
+        (64, 256, 1.5, 0.6, 5.8, "0x1.bde8f38b13b1cp+0"),
+        (128, 512, 1.0, 1.0, 5.0, "0x1.f7a9e43b45a50p-1"),
+        (128, 512, 1.5, 0.6, 5.8, "0x1.bcfb38200b34cp+0"),
     ],
 )
 def test_pairwise_frozen_bits_and_one_evaluation_per_rule(n_rad, n_ang, sigma, tau, q, bits):
@@ -351,7 +365,22 @@ def test_kernel_spectrum_unit_stride_slabs_within_memory_rule(sigma, tau, n_rad,
     assert all(spectrum[k].strides[-1] == spectrum.itemsize for k in range(spectrum.shape[0]))
     ladder = QuadratureSettings(radial_count=n_rad // 2, angular_count=n_ang // 2,
                                 max_refinements=1)
-    assert spectrum.nbytes == _quadrature_bytes("equivalence", ladder)
+    # the spectrum and the slabs a dense series gathers from it, as large again
+    assert 2 * spectrum.nbytes == _quadrature_bytes("equivalence", ladder)
+
+
+def test_pairwise_warm_call_peak_within_its_gathered_slabs():
+    # 49 occupied modes (degrees 1..48): the gathered slabs dominate a warm call's memory
+    n_rad, n_ang = 128, 512
+    f = TruncatedPowerSeries([0.0, *(np.cos(n) + 1j * np.sin(n) for n in range(1, 49))])
+    pairwise_difference_integral(f, 1.0, 1.0, 5.0, n_rad, n_ang)
+    tracemalloc.start()
+    try:
+        pairwise_difference_integral(f, 1.0, 1.0, 5.0, n_rad, n_ang)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 49 * n_rad**2 * 8 + 2**20
 
 
 @pytest.mark.parametrize(
@@ -485,6 +514,15 @@ def test_brute_force_4x_matches_series_oracle():
 def test_series_oracle_reproduces_frozen_table():
     for n, expected in PAIRWISE_MONOMIAL_SIGMA1_BETA05.items():
         assert pairwise_series_oracle(n, 1.0, 1.0, 0.5) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_series_oracle_stable_in_depth_below_p_one(n):
+    # p = 0.2: the tail's exponents p, p + 1, ... are not multiples of p (2.8e-6 and 9.5e-6
+    # apart when eliminated as such)
+    four = pairwise_series_oracle(n, 1.0, 1.0, 0.9)
+    five = pairwise_series_oracle(n, 1.0, 1.0, 0.9, kmax=2**23, levels=5)
+    assert four == pytest.approx(five, rel=2e-7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
