@@ -41,7 +41,7 @@ from .quadrature import (
     integrate_disc,
     refine_until,
 )
-from .series import TruncatedPowerSeries, coefficients_of, differentiate
+from .series import TruncatedPowerSeries, differentiate
 from .symbols import (
     Blaschke,
     BoundaryPoint,

@@ -12,8 +12,8 @@ shorthand string such as ``"monomials:1..8"``, or an object naming one of
 the shipped families:
 
 * ``monomials``: z^n for n in start..stop,
-* ``mobius-monomials``: powers of a disc automorphism (series extracted by
-  circle sampling; exercises boundary contact),
+* ``mobius-monomials``: powers of a disc automorphism, truncated at ``order``
+  (exact series products; exercises boundary contact),
 * ``geometric``: partial geometric sums 1 + z + ... + z^k (slow coefficient
   decay).
 
@@ -31,12 +31,14 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConfigError, ParamError
 from .kernels import SupSearchSettings
 from .norms import WeightParams, validate_main_theorem_params
 from .operators import _TILE
 from .quadrature import QuadratureSettings
-from .series import TruncatedPowerSeries, coefficients_of
+from .series import TruncatedPowerSeries
 from .symbols import Blaschke, FiniteBlaschke, Identity, MobiusAuto, Monomial, Polynomial, Rotation
 
 #: the top-level keys each command reads besides command and out_dir
@@ -181,8 +183,11 @@ def _expand_named_family(name, start, stop, a=0.5 + 0.0j, order=48):
         raise ConfigError("family range is empty", field="family")
     if name not in ("monomials", "geometric", "mobius-monomials"):
         raise ConfigError(f"unknown family name {name!r}", field="family")
+    for key, value in (("start", start), ("order", order)):
+        if value < 0:
+            raise ConfigError(f"family.{key} must be >= 0, got {value}", field=f"family.{key}")
     if name == "mobius-monomials":
-        _fits(16 * 8 * (order + 1), "family.order")  # >= 8 (order + 1) circle samples
+        _fits(16 * (order + 1), "family.order")
         _fits(16 * (stop - start + 1) * (order + 1), "family")
     else:
         _fits(16 * (stop + start + 2) * (stop - start + 1) // 2, "family")  # n + 1 per member
@@ -195,11 +200,17 @@ def _expand_named_family(name, start, stop, a=0.5 + 0.0j, order=48):
             (f"geom:{k}", TruncatedPowerSeries.geometric_sum(k)) for k in range(start, stop + 1)
         )
     if name == "mobius-monomials":
-        mob = MobiusAuto(a=a)
+        MobiusAuto(a=a)  # refuses |a| >= 1
+        # (a - z) / (1 - conj(a) z) = a - (1 - |a|^2) sum_{k >= 1} conj(a)^(k-1) z^k
+        phi = np.concatenate(([a], -(1 - abs(a)) * (1 + abs(a)) * np.conj(a) ** np.arange(order)))
+        power, base, n = np.eye(1, order + 1, dtype=complex)[0], phi, start
+        while n:  # phi^start by repeated squaring, all products cut to order + 1
+            power = np.convolve(power, base)[: order + 1] if n & 1 else power
+            base, n = np.convolve(base, base)[: order + 1], n >> 1
         out = []
         for n in range(start, stop + 1):
-            series = coefficients_of(lambda z, n=n: mob.value(z) ** n, order)
-            out.append((f"mobius({a:g})^{n}", series))
+            out.append((f"mobius({a:g})^{n}", TruncatedPowerSeries(tuple(power))))
+            power = np.convolve(power, phi)[: order + 1]
         return tuple(out)
 
 

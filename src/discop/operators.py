@@ -2,10 +2,9 @@
 
 The composition operator sends f to f(phi(.)).  ``ComposedFunction(f, phi)``
 answers ``value(z)`` and ``deriv(z)`` (the chain rule f'(phi(z)) phi'(z)), as
-series and symbols do, so the norm routes take it as they take f; its
-Dirichlet-type norm is computed by quadrature on that derivative, with the
-coefficient route (via numerical coefficient extraction) available as a
-cross-check only.
+series and symbols do, so the norm routes take it as they take f; it has no
+coefficients, so its Dirichlet-type norm is computed by quadrature on that
+derivative.
 
 The lift sends a disc function to the bidisc difference quotient
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, ParamError
+from .errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -63,39 +63,3 @@ def differentiate(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
     if len(s.coeffs) == 1:
         return TruncatedPowerSeries((0.0,))
     return TruncatedPowerSeries(tuple((n + 1) * c for n, c in enumerate(s.coeffs[1:])))
-
-
-def _circle_coefficients(g, n_max, radius, samples):
-    """Coefficients from uniform circle samples (discrete Cauchy integral)."""
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    vals = np.asarray(g(radius * np.exp(1j * theta)), dtype=complex)
-    spectrum = np.fft.fft(vals) / samples
-    return spectrum[: n_max + 1] / radius ** np.arange(n_max + 1)
-
-
-#: sampling radii and agreement tolerance of :func:`coefficients_of`; the radii
-#: balance round-off amplification (radius^-n) against the decay of the tail
-_RADIUS, _CHECK_RADIUS, _COEFF_TOL = 0.9, 0.8, 1e-8
-
-
-def coefficients_of(g, n_max: int) -> TruncatedPowerSeries:
-    """Extract coefficients a_0..a_{n_max} of a disc-holomorphic function.
-
-    Samples g on the circle of radius 0.9 and inverts the discrete Fourier
-    transform (Cauchy integral), dividing by radius^n.  A second pass at
-    radius 0.8 provides an independent consistency estimate; if the two
-    disagree beyond 1e-8 the extraction did not converge (too few samples, or
-    g is not holomorphic past the sampling circle).
-    """
-    if n_max < 0:
-        raise ParamError("n_max must be >= 0")
-    samples = 1 << max(8, int(np.ceil(np.log2(8 * (n_max + 1)))))
-    a = _circle_coefficients(g, n_max, _RADIUS, samples)
-    a_check = _circle_coefficients(g, n_max, _CHECK_RADIUS, samples)
-    discrepancy = float(np.max(np.abs(a - a_check)))
-    if discrepancy > _COEFF_TOL:
-        raise ConvergenceError(
-            f"two-radius coefficient check failed: discrepancy {discrepancy:.3e} > {_COEFF_TOL:.3e}",
-            partial=TruncatedPowerSeries(tuple(a)),
-        )
-    return TruncatedPowerSeries(tuple(a))

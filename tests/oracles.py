@@ -24,8 +24,11 @@ The module also holds helpers that only the tests use: pointwise kernel
 evaluation, the closed-form suprema, the symbol spec writer, the equivalence
 ratio of one function, the row-by-row Neville loop that the vectorised
 extrapolation is checked against, and reference evaluations of the inner
-symbols (their closed forms and the factor-by-factor Blaschke product).
+symbols (their closed forms and the factor-by-factor Blaschke product), and
+the Taylor coefficients of a disc automorphism's powers.
 """
+
+from math import comb
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -224,6 +227,21 @@ def mobius_reference(a, post_rotation, z):
     unit = np.exp(1j * post_rotation)
     return (unit * (a - z) / (1.0 - np.conj(a) * z),
             unit * -(1.0 - abs(a)) * (1.0 + abs(a)) / (1.0 - np.conj(a) * z) ** 2)
+
+
+def mobius_power_coeffs(a, n, order):
+    """Taylor coefficients of ((a - z)/(1 - conj(a) z))^n, n >= 1, up to z^order.
+
+    The binomial series of (a - z)^n and (1 - conj(a) z)^(-n), multiplied
+    term by term: no series products and no sampling.  For a dyadic real a
+    and small n every term is exact in floating point.
+    """
+    b = complex(a).conjugate()
+    return np.array([
+        sum(comb(n, j) * a ** (n - j) * (-1) ** j * comb(n + k - j - 1, k - j) * b ** (k - j)
+            for j in range(min(n, k) + 1))
+        for k in range(order + 1)
+    ], dtype=complex)
 
 
 def monomial_reference(k, z):

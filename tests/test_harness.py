@@ -8,6 +8,7 @@ import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from discop.cli import main as cli_main
@@ -16,6 +17,7 @@ from discop.errors import ConfigError, ParamError
 from discop.harness import emit_reports, run, RunOutcome
 from discop.kernels import SupSearchSettings
 from discop.quadrature import QuadratureSettings
+from oracles import mobius_power_coeffs
 
 FAST_QUAD = {"radial": 8, "angular": 32}
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -808,6 +810,51 @@ def test_cli_refuses_sizes_beyond_physical_memory_before_allocating(
     assert code == 4
     assert f"{field} sizes at least" in capsys.readouterr().err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("family, field", [
+    ({"name": "mobius-monomials", "order": -1}, "family.order"),
+    ({"name": "mobius-monomials", "start": -1, "stop": 2}, "family.start"),
+])
+def test_family_refuses_negative_order_and_start_naming_the_field(tmp_path, capsys, family, field):
+    payload = {"command": "equivalence", "family": family,
+               "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(payload)
+    assert info.value.field == field
+    path = _write_config(tmp_path, "negative.json", payload)
+    assert cli_main(["equivalence", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert f"{field} must be >= 0" in capsys.readouterr().err
+
+
+def test_mobius_family_beyond_order_100_is_its_exact_series(tmp_path, capsys):
+    family = {"name": "mobius-monomials", "start": 1, "stop": 4, "a": {"re": 0.5, "im": 0.0}}
+    params = {"sigma": 1.0, "tau": 1.0, "beta": 0.5}
+    cfg = parse_config({"command": "equivalence", "family": {**family, "order": 100},
+                        "params": params})
+    for n, (label, series) in enumerate(cfg.family, start=1):
+        assert label == f"mobius(0.5+0j)^{n}"
+        assert np.max(np.abs(np.array(series.coeffs) - mobius_power_coeffs(0.5, n, 100))) <= 1e-14
+    path = _write_config(tmp_path, "order200.json", {"command": "equivalence",
+                                                     "family": {**family, "order": 200},
+                                                     "params": params})
+    assert cli_main(["equivalence", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_mobius_family_reaches_a_far_start_by_squaring():
+    def members(start, stop):
+        family = {"name": "mobius-monomials", "start": start, "stop": stop, "order": 100}
+        params = {"sigma": 1.0, "tau": 1.0, "beta": 0.5}
+        return parse_config({"command": "equivalence", "family": family, "params": params}).family
+
+    label, series = members(1, 37)[-1]
+    (far_label, far), = members(37, 37)
+    assert far_label == label
+    assert np.max(np.abs(np.array(far.coeffs) - series.coeffs)) <= 1e-14
+    # a start of 2^60 costs 60 squarings, not 2^60 products; |phi^n| <= 1 bounds every coefficient
+    (_, huge), = members(2**60, 2**60)
+    assert np.all(np.abs(huge.coeffs) <= 1.0)
 
 
 def test_config_quadrature_bound_is_the_last_level_kernel_spectrum(monkeypatch):

@@ -30,6 +30,7 @@ from oracles import (
     V1_SERIES,
     dirichlet_monomial_sq,
     equivalence_ratio,
+    mobius_power_coeffs,
     pairwise_series_oracle,
 )
 
@@ -593,13 +594,9 @@ def test_ratio_band_over_monomials():
 
 
 def test_ratio_band_with_mobius_composed_functions():
-    from discop.series import coefficients_of
-    from discop.symbols import MobiusAuto
-
     params = WeightParams(1.0, 1.0, 0.5)
-    mob = MobiusAuto(0.5)
     family = [TruncatedPowerSeries.monomial(n) for n in (1, 2, 3)]
-    family += [coefficients_of(lambda z, n=n: mob.value(z) ** n, 48) for n in (1, 2)]
+    family += [TruncatedPowerSeries(mobius_power_coeffs(0.5, n, 48)) for n in (1, 2)]
     ratios = []
     for f in family:
         functional = double_integral_functional(f, params)

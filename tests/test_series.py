@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discop.errors import ConvergenceError, ParamError
+from discop.errors import ParamError
 from discop.series import (
     TruncatedPowerSeries,
-    coefficients_of,
     differentiate,
 )
 from discop.symbols import Polynomial
@@ -79,47 +78,3 @@ def test_differentiate_drops_order_by_one():
 def test_empty_series_rejected():
     with pytest.raises(ParamError):
         TruncatedPowerSeries(())
-
-
-def test_coefficients_of_identity():
-    s = coefficients_of(lambda z: z, 4)
-    assert np.allclose(s.coeffs, [0, 1, 0, 0, 0], atol=1e-10)
-
-
-def test_coefficients_of_binomial_square():
-    s = coefficients_of(lambda z: (0.3 + 0.2 * z) ** 2, 4)
-    assert np.allclose(s.coeffs, [0.09, 0.12, 0.04, 0, 0], atol=1e-10)
-
-
-def test_coefficients_of_constant():
-    s = coefficients_of(lambda z: np.ones_like(z), 3)
-    assert np.allclose(s.coeffs, [1, 0, 0, 0], atol=1e-12)
-
-
-def test_coefficients_of_detects_nearby_pole():
-    # holomorphic only on |z| < 0.85, so the 0.9 circle lies outside the
-    # domain of analyticity and the two radii must disagree
-    with pytest.raises(ConvergenceError):
-        coefficients_of(lambda z: 1.0 / (1.0 - z / 0.85), 16)
-
-
-def test_coefficients_of_validates_inputs():
-    with pytest.raises(ParamError):
-        coefficients_of(lambda z: z, -1)
-
-
-@given(coeff_strategy)
-def test_coefficients_of_exact_on_polynomials(coeffs):
-    s = TruncatedPowerSeries(coeffs)
-    got = coefficients_of(s.value, len(s.coeffs) - 1)
-    assert np.allclose(got.coeffs, s.coeffs, atol=1e-10)
-
-
-@given(coeff_strategy)
-def test_differentiate_commutes_with_extraction(coeffs):
-    s = TruncatedPowerSeries(coeffs + [1.0])  # ensure nonconstant
-    ds = differentiate(s)
-    extracted = coefficients_of(s.value, len(s.coeffs) - 1)
-    assert np.allclose(
-        differentiate(extracted).coeffs, ds.coeffs, atol=1e-10
-    )
