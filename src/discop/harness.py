@@ -2,7 +2,9 @@
 
 Experiments are pure functions of their configuration: no state is kept
 between runs, so emitted reports are reproducible evidence (byte-identical
-CSV up to the wall_ms column).  Exit codes:
+CSV up to the wall_ms column).  Each report file is formatted in memory (the
+boundary plots' angles from one table of their text, built on first use) and
+written with one unbuffered write.  Exit codes:
 
 * 0: all verdicts positive / within tolerance,
 * 2: a mathematical verdict is negative (kernel unbounded, rank check
@@ -18,9 +20,11 @@ code 3 wins: a verdict computed amid numerical trouble is not evidence.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import dataclass, field, is_dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +39,14 @@ from .norms import (
 )
 from .operators import DERIV_TOL, VIOLATION_REL_TOL, bound_check, rank_sufficiency_check
 from .quadrature import _rel_change
-from .symbols import Blaschke, Polynomial, verify_self_map
+from .symbols import Blaschke, Polynomial, boundary_grid, verify_self_map
 
 CSV_COLUMNS = ("experiment", "input", "quantity", "value", "method", "tolerance", "verdict", "wall_ms")
 
 #: route-agreement tolerance for the norm experiment's coefficient/quadrature pair
 NORM_AGREEMENT_RTOL = 1e-8
+#: points of the boundary plots (|phi'| of rank-check, |phi| of selfmap-check)
+PLOT_POINTS = 256
 
 
 @dataclass
@@ -177,8 +183,8 @@ def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     row("contact_set", contact_desc, "scan",
         "exhaustive" if report.exhaustive else "heuristic", report.verdict.value)
     _min_deriv_row(row, report)
-    angles = 2.0 * np.pi * np.arange(256) / 256
-    dmod = np.abs(symbol.deriv(np.exp(1j * angles)))
+    angles, zeta = boundary_grid(PLOT_POINTS)
+    dmod = np.abs(symbol.deriv(zeta))
     outcome.plots["deriv_modulus"] = list(zip(angles.tolist(), dmod.tolist()))
     outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(report.verdict.value, 0))
 
@@ -275,8 +281,8 @@ def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
     row = _rows(outcome, "selfmap-check", label, _ms_since(t0))
     row("max_modulus", check.max_modulus, "scan", config.selfmap_tol, "Pass")
     row("boundary_contact", int(check.boundary_contact), "scan", config.selfmap_tol, "Pass")
-    angles = 2.0 * np.pi * np.arange(256) / 256
-    mods = np.abs(check.symbol.value(np.exp(1j * angles)))
+    angles, zeta = boundary_grid(PLOT_POINTS)
+    mods = np.abs(check.symbol.value(zeta))
     outcome.plots["boundary_modulus"] = list(zip(angles.tolist(), mods.tolist()))
 
 
@@ -291,6 +297,21 @@ def _cell(value) -> str:
     return str(value)
 
 
+@lru_cache(maxsize=1)
+def _angle_text() -> dict:
+    """repr of each boundary plot angle but 0.0, by value (a -0.0 would match 0.0)."""
+    return {x: repr(x) for x in boundary_grid(PLOT_POINTS)[0].tolist()[1:]}
+
+
+def _write(path: Path, text: str) -> Path:
+    """Write ``text`` as UTF-8 in one unbuffered write (repeated only after a short one)."""
+    with path.open("wb", buffering=0) as fh:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[fh.write(data):]
+    return path
+
+
 def emit_reports(outcome: RunOutcome, out_dir) -> dict:
     """Write report.csv, a JSON mirror with traces, and plot data files.
 
@@ -299,34 +320,25 @@ def emit_reports(outcome: RunOutcome, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    csv_path = out / "report.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in outcome.rows:
-            writer.writerow(
-                [
-                    row.experiment, row.input, row.quantity, _cell(row.value),
-                    row.method, _cell(row.tolerance), row.verdict, _cell(row.wall_ms),
-                ]
-            )
-    paths["csv"] = csv_path
-
-    json_path = out / "report.json"
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        [row.experiment, row.input, row.quantity, _cell(row.value),
+         row.method, _cell(row.tolerance), row.verdict, _cell(row.wall_ms)]
+        for row in outcome.rows
+    )
     payload = {
         "rows": [vars(r) for r in outcome.rows],
         "traces": outcome.traces,
         "exit_code": outcome.exit_code,
     }
-    with json_path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    paths["json"] = json_path
-
+    paths = {
+        "csv": _write(out / "report.csv", table.getvalue()),
+        "json": _write(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"),
+    }
+    text = _angle_text()
     for name, points in outcome.plots.items():
-        plot_path = out / f"plot_{name}.dat"
-        with plot_path.open("w", encoding="utf-8") as fh:
-            fh.write("".join([f"{x!r} {y!r}\n" for x, y in points]))
-        paths[f"plot_{name}"] = plot_path
+        lines = [f"{text.get(x) or repr(x)} {y!r}\n" for x, y in points]
+        paths[f"plot_{name}"] = _write(out / f"plot_{name}.dat", "".join(lines))
     return paths

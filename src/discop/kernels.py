@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .symbols import TWO_PI, BoundaryPoint, contact_indicator
+from .symbols import TWO_PI, BoundaryPoint, boundary_grid, contact_indicator
 
 #: |1 - z conj(w)| below this is treated as "on the boundary diagonal"
 MIN_DENOMINATOR = 1e-13
@@ -156,7 +156,7 @@ def _grid_geometry(alphas, gammas):
 @functools.lru_cache(maxsize=1)
 def _start_geometry(n0):
     """Read-only geometry of the uniform n0 x n0 start grid (9 n0^2 bytes)."""
-    alphas = TWO_PI * np.arange(n0) / n0
+    alphas = boundary_grid(n0)[0]
     geometry = _grid_geometry(alphas, alphas)
     for arr in geometry:
         arr.flags.writeable = False

@@ -33,7 +33,7 @@ entries phi'(zeta_1), phi'(zeta_2) (the cross partials vanish), so
 invertibility at every boundary-contact pair reduces to |phi'| staying away
 from zero on the contact set: the circle for a Blaschke product (every inner
 symbol), the scan-bracketed maxima of |phi| for a polynomial.  Both come
-from one evaluation of phi and phi' on the boundary grid.
+from phi' on the shared boundary grid, and phi there for a polynomial only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .norms import (
 )
 from .quadrature import QuadratureSettings, _rel_change, build_disc_rule
 from .series import TruncatedPowerSeries
-from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial
+from .symbols import TWO_PI, Blaschke, BoundaryPoint, Identity, Polynomial, boundary_grid
 
 #: rows per tile of the composed pair engine, and its corner's zeroed lower triangle and diagonal
 _TILE = 16
@@ -204,16 +204,22 @@ def _refine_min_deriv(symbol, theta0: float, half_width: float) -> float:
     return float(dmod[k])
 
 
-def _bisect_modulus_extremum(symbol, lo: float, hi: float) -> float:
-    """Bisect d|phi|^2/dtheta to its root in a scan bracket (slope > 0 at lo, <= 0 at hi)."""
+def _bisect_modulus_extrema(symbol, lo, hi):
+    """Bisect every scan bracket's root of d|phi|^2/dtheta at once (slope > 0 at lo, <= 0 at hi)."""
+    peaks, live = np.empty_like(lo), np.ones(lo.shape, dtype=bool)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         zeta = np.exp(1j * mid)
-        fm = float(2.0 * np.real(np.conj(symbol.value(zeta)) * 1j * zeta * symbol.deriv(zeta)))
-        if fm == 0.0 or hi - lo < 1e-13:
-            return mid
-        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
-    return 0.5 * (lo + hi)
+        v, d = symbol.value(zeta), symbol.deriv(zeta)
+        # Re(conj(v) i zeta d) by real products, unfused as one bracket's scalar products are
+        br, bi = v.imag * zeta.real - v.real * zeta.imag, v.imag * zeta.imag + v.real * zeta.real
+        fm = 2.0 * (br * d.real - bi * d.imag)
+        stop = live & ((fm == 0.0) | (hi - lo < 1e-13))
+        peaks[stop], live[stop] = mid[stop], False
+        if not live.any():
+            return peaks
+        lo, hi = np.where(fm > 0, mid, lo), np.where(fm > 0, hi, mid)
+    return np.where(live, 0.5 * (lo + hi), peaks)
 
 
 def rank_sufficiency_check(symbol: Blaschke | Polynomial) -> RankReport:
@@ -225,35 +231,36 @@ def rank_sufficiency_check(symbol: Blaschke | Polynomial) -> RankReport:
     angular derivative is numerically indistinguishable from zero, so the
     verdict is Fail.
     """
-    theta = TWO_PI * np.arange(_SCAN_RESOLUTION) / _SCAN_RESOLUTION
-    zeta = np.exp(1j * theta)
-    phi, dphi = symbol.value(zeta), symbol.deriv(zeta)
-    mods, dmod = np.abs(phi), np.abs(dphi)
-    degree = len(symbol.coeffs) - 1 if isinstance(symbol, Polynomial) else None
-    exhaustive = degree is not None and _SCAN_RESOLUTION >= 32 * (2 * degree + 1)
-    inner = isinstance(symbol, Blaschke)
-    touched = inner or not float(np.max(mods)) < 1.0 - _CONTACT_TOL
-    # the whole circle is contact by construction, or in effect (e.g. a
-    # rotation written as a polynomial)
-    full_circle = inner or (touched and float(np.max(mods) - np.min(mods)) <= 1e-12)
+    theta, zeta = boundary_grid(_SCAN_RESOLUTION)
+    dphi = symbol.deriv(zeta)
+    dmod = np.abs(dphi)
     points, min_deriv = [], None
-    if full_circle:
-        exhaustive, k = True, int(np.argmin(dmod))
-        min_deriv = float(dmod[k])
-        if inner:
-            refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / _SCAN_RESOLUTION)
-            min_deriv = min(min_deriv, refined)
-    elif touched:
-        # bracket local maxima of |phi|^2 through sign changes of its angular slope
-        slope = 2.0 * np.real(np.conj(phi) * 1j * zeta * dphi)
-        for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
-            peak = _bisect_modulus_extremum(symbol, theta[i], theta[i] + TWO_PI / _SCAN_RESOLUTION)
-            if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= _CONTACT_TOL:
-                points.append(BoundaryPoint(peak))
-        if points:
-            min_deriv = min(float(np.abs(symbol.deriv(p.to_complex()))) for p in points)
-        else:
-            exhaustive = False  # the grid touched the contact band, no bracket resolved it
+    if isinstance(symbol, Blaschke):
+        # inner: the whole circle is contact by construction, so |phi| is not scanned
+        full_circle = touched = exhaustive = True
+        k = int(np.argmin(dmod))
+        refined = _refine_min_deriv(symbol, float(theta[k]), TWO_PI / _SCAN_RESOLUTION)
+        min_deriv = min(float(dmod[k]), refined)
+    else:
+        phi = symbol.value(zeta)
+        mods = np.abs(phi)
+        exhaustive = _SCAN_RESOLUTION >= 32 * (2 * len(symbol.coeffs) - 1)
+        touched = not float(np.max(mods)) < 1.0 - _CONTACT_TOL
+        # the whole circle is contact in effect (e.g. a rotation written as a polynomial)
+        full_circle = touched and float(np.max(mods) - np.min(mods)) <= 1e-12
+        if full_circle:
+            exhaustive, min_deriv = True, float(np.min(dmod))
+        elif touched:
+            # bracket local maxima of |phi|^2 through sign changes of its angular slope
+            slope = 2.0 * np.real(np.conj(phi) * 1j * zeta * dphi)
+            lo = theta[(slope > 0) & (np.roll(slope, -1) <= 0)]
+            peaks = _bisect_modulus_extrema(symbol, lo, lo + TWO_PI / _SCAN_RESOLUTION)
+            angles = peaks[1.0 - np.abs(symbol.value(np.exp(1j * peaks))) <= _CONTACT_TOL] % TWO_PI
+            points = [BoundaryPoint(a) for a in angles.tolist()]
+            if points:
+                min_deriv = min(np.abs(symbol.deriv(np.exp(1j * angles))).tolist())
+            else:
+                exhaustive = False  # the grid touched the contact band, no bracket resolved it
     if min_deriv is not None:
         verdict = RankVerdict.PASS if min_deriv > DERIV_TOL else RankVerdict.FAIL
     else:

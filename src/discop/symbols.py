@@ -16,6 +16,7 @@ config form is read by :func:`discop.config.symbol_from_spec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,16 @@ from .errors import ParamError, SymbolError
 from .series import TruncatedPowerSeries
 
 TWO_PI = 2.0 * np.pi
+
+
+@lru_cache(maxsize=4)
+def boundary_grid(n: int):
+    """Read-only (theta, e^{i theta}) of the grid theta_k = 2 pi k / n, built once per
+    size for every boundary scan and plot (4 sizes kept, 24 n bytes each)."""
+    theta = TWO_PI * np.arange(n) / n
+    zeta = np.exp(1j * theta)
+    theta.flags.writeable = zeta.flags.writeable = False
+    return theta, zeta
 
 
 @dataclass(frozen=True)
@@ -180,11 +191,11 @@ def verify_self_map(symbol, grid_size: int = 1024, tol: float = 1e-6) -> SelfMap
     """
     if grid_size < 256:
         raise ParamError("self-map verification needs grid_size >= 256")
-    theta = TWO_PI * np.arange(grid_size) / grid_size
+    theta, zeta = boundary_grid(grid_size)
     # a polynomial is scanned through its verified copy, which is returned
     # when the scan passes
     checked = replace(symbol, verified=True) if isinstance(symbol, Polynomial) else symbol
-    mods = np.abs(checked.value(np.exp(1j * theta)))
+    mods = np.abs(checked.value(zeta))
     worst = int(np.argmax(mods))
     max_mod = float(mods[worst])
     if not max_mod <= 1.0 + tol:

@@ -23,9 +23,10 @@ FFTs, no node sets.
 The module also holds helpers that only the tests use: pointwise kernel
 evaluation, the closed-form suprema, the symbol spec writer, the equivalence
 ratio of one function, the row-by-row Neville loop that the vectorised
-extrapolation is checked against, and reference evaluations of the inner
-symbols (their closed forms and the factor-by-factor Blaschke product), and
-the Taylor coefficients of a disc automorphism's powers.
+extrapolation is checked against, the scalar bisection of one bracket at a
+time that the rank check's batched one is checked against, and reference
+evaluations of the inner symbols (their closed forms and the factor-by-factor
+Blaschke product), and the Taylor coefficients of a disc automorphism's powers.
 """
 
 from math import comb
@@ -42,7 +43,7 @@ from discop.norms import (
 )
 from discop.quadrature import QuadratureSettings
 from discop.series import TruncatedPowerSeries
-from discop.symbols import Polynomial
+from discop.symbols import BoundaryPoint, Polynomial
 
 # D(z^n) at sigma = tau = 1, beta = 0.5, from the series oracle above
 # (kmax = 2^21, 4 Richardson levels; stable to ~1e-12 across depths)
@@ -275,3 +276,35 @@ def neville_to_zero_scalar(hs, table):
         for i in range(len(tab) - 1, m - 1, -1):
             tab[i] = tab[i] + (tab[i] - tab[i - 1]) * hs[i] / (hs[i - m] - hs[i])
     return tab[-1], np.abs(tab[-1] - tab[-2])
+
+
+def bisect_modulus_extremum_scalar(symbol, lo, hi):
+    """Bisect d|phi|^2/dtheta to its root in one scan bracket (slope > 0 at lo,
+    <= 0 at hi), one scalar step at a time.  Returns (angle, steps taken)."""
+    for step in range(1, 65):
+        mid = 0.5 * (lo + hi)
+        zeta = np.exp(1j * mid)
+        fm = float(2.0 * np.real(np.conj(symbol.value(zeta)) * 1j * zeta * symbol.deriv(zeta)))
+        if fm == 0.0 or hi - lo < 1e-13:
+            return mid, step
+        lo, hi = (mid, hi) if fm > 0 else (lo, mid)
+    return 0.5 * (lo + hi), 64
+
+
+def polynomial_contacts_scalar(symbol, resolution=4096, contact_tol=1e-6):
+    """Contact angles, min |phi'| over them and each bracket's bisection steps
+    for a polynomial symbol touching the circle at isolated points: the rank
+    scan with one scalar bisection per bracket."""
+    theta = 2.0 * np.pi * np.arange(resolution) / resolution
+    zeta = np.exp(1j * theta)
+    phi, dphi = symbol.value(zeta), symbol.deriv(zeta)
+    slope = 2.0 * np.real(np.conj(phi) * 1j * zeta * dphi)
+    angles, steps = [], []
+    for i in np.flatnonzero((slope > 0) & (np.roll(slope, -1) <= 0)):
+        peak, taken = bisect_modulus_extremum_scalar(
+            symbol, theta[i], theta[i] + 2.0 * np.pi / resolution)
+        steps.append(taken)
+        if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= contact_tol:
+            angles.append(BoundaryPoint(peak).angle)
+    min_deriv = min(float(np.abs(symbol.deriv(BoundaryPoint(a).to_complex()))) for a in angles)
+    return angles, min_deriv, steps

@@ -14,7 +14,7 @@ import pytest
 from discop.cli import main as cli_main
 from discop.config import apply_overrides, parse_config
 from discop.errors import ConfigError, ParamError
-from discop.harness import emit_reports, run, RunOutcome
+from discop.harness import CSV_COLUMNS, _cell, emit_reports, run, RunOutcome
 from discop.kernels import SupSearchSettings
 from discop.quadrature import QuadratureSettings
 from oracles import mobius_power_coeffs
@@ -434,9 +434,16 @@ def test_plot_files_two_numeric_columns(tmp_path):
             float(x), float(y)
 
 
-def _emit_json_and_plots_row_by_row(outcome, out):
-    """The reference emission route: json.dump of asdict rows, one write per plot line."""
+def _emit_row_by_row(outcome, out):
+    """The reference emission route: a csv.writer on the open file, json.dump of
+    asdict rows, one write per plot line with every x in repr form."""
     out.mkdir(parents=True)
+    with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in outcome.rows:
+            writer.writerow([row.experiment, row.input, row.quantity, _cell(row.value),
+                             row.method, _cell(row.tolerance), row.verdict, _cell(row.wall_ms)])
     payload = {
         "rows": [asdict(r) for r in outcome.rows],
         "traces": outcome.traces,
@@ -452,18 +459,25 @@ def _emit_json_and_plots_row_by_row(outcome, out):
 
 
 def test_emit_reports_bytes_match_row_by_row_route(tmp_path):
+    # the boundary plots' angles take their text from the shared table, the
+    # sup trace's grid sizes (and the angle 0.0) fall back to repr
     outcome = run(parse_config({"command": "rank-check", "symbol": {"type": "mobius", "a": 0.5}}))
-    sup = run(parse_config({"command": "kernel-sup", "symbol": {"type": "monomial", "k": 2},
-                            "sup_search": _fast_sup()}))
-    outcome.rows += sup.rows
-    outcome.traces.update(sup.traces)
-    outcome.plots.update(sup.plots)
-    assert len(outcome.rows) >= 4 and outcome.traces and len(outcome.plots) == 2
+    for spec in (
+        {"command": "kernel-sup", "symbol": {"type": "monomial", "k": 2}, "sup_search": _fast_sup()},
+        {"command": "selfmap-check", "symbol": {"type": "poly", "coeffs": [0.5, 0.5]}},
+    ):
+        more = run(parse_config(spec))
+        outcome.rows += more.rows
+        outcome.traces.update(more.traces)
+        outcome.plots.update(more.plots)
+    assert len(outcome.rows) >= 6 and outcome.traces and len(outcome.plots) == 3
     paths = emit_reports(outcome, tmp_path / "new")
-    _emit_json_and_plots_row_by_row(outcome, tmp_path / "old")
-    for name in ["report.json"] + [f"plot_{n}.dat" for n in outcome.plots]:
+    _emit_row_by_row(outcome, tmp_path / "old")
+    names = ["report.csv", "report.json"] + [f"plot_{n}.dat" for n in outcome.plots]
+    for name in names:
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
-    assert sorted(paths) == ["csv", "json", "plot_deriv_modulus", "plot_sup_trace"]
+    assert sorted(paths) == ["csv", "json", "plot_boundary_modulus", "plot_deriv_modulus",
+                             "plot_sup_trace"]
 
 
 # --- CLI ---------------------------------------------------------------------

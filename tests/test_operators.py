@@ -35,7 +35,12 @@ from discop.symbols import (
     Rotation,
     verify_self_map,
 )
-from oracles import V1_SERIES, dirichlet_monomial_sq, mobius_power_coeffs
+from oracles import (
+    V1_SERIES,
+    dirichlet_monomial_sq,
+    mobius_power_coeffs,
+    polynomial_contacts_scalar,
+)
 
 SMALL = QuadratureSettings(radial_count=16, angular_count=64, max_refinements=2)
 
@@ -255,6 +260,38 @@ def test_rank_polynomial_rotation_detected_as_full_circle():
     assert report.verdict is RankVerdict.PASS
 
 
+def _contact_poly(m, t, psi, zeta0):
+    """e^{i psi} (t + (1-t) (z/zeta0)^m), verified: |p| = 1 exactly where (z/zeta0)^m = 1."""
+    coeffs = [0j] * (m + 1)
+    coeffs[0] = np.exp(1j * psi) * t
+    coeffs[m] = np.exp(1j * psi) * (1 - t) * zeta0**-m
+    return verify_self_map(Polynomial(coeffs)).symbol
+
+
+#: the first midpoint of the rank scan's bracket [0, 2 pi / 4096]
+_FIRST_MID = 0.5 * (0.0 + 2 * np.pi / 4096)
+
+
+@pytest.mark.parametrize("symbol, mixed_steps", [
+    (Polynomial([-0.16240146179852258 + 0.04340449156972897j, 0, 0, 0,
+                 0.3251186484119622 - 0.765736658688432j]), False),
+    (_contact_poly(1, 0.622, -1.593, np.exp(2j * np.pi * 4092 / 4096)), False),
+    (_contact_poly(2, 0.263, -1.05, np.exp(2j * np.pi * 1788 / 4096)), False),
+    (_contact_poly(4, 0.414, -0.042, np.exp(2j * np.pi * 3457 / 4096)), False),
+    # contacts on two brackets' first midpoints, where the slope is exactly
+    # 0.0: those brackets stop at the first step, the other two at the 35th
+    (_contact_poly(4, 0.05, 1.3, np.exp(1j * _FIRST_MID)), True),
+], ids=["seed7-poly-contact", "m1", "m2", "m4", "m4-mixed-steps"])
+def test_batched_bisection_matches_scalar_bisection_bitwise(symbol, mixed_steps):
+    symbol = verify_self_map(symbol).symbol
+    angles, min_deriv, steps = polynomial_contacts_scalar(symbol)
+    assert (len(set(steps)) > 1) is mixed_steps
+    report = rank_sufficiency_check(symbol)
+    assert report.verdict is RankVerdict.PASS and not report.full_circle
+    assert [p.angle for p in report.points] == angles
+    assert report.min_deriv_modulus == min_deriv
+
+
 @pytest.mark.parametrize(
     "symbol",
     [
@@ -278,7 +315,8 @@ def test_rank_scan_evaluates_symbol_and_derivative_once(monkeypatch, symbol):
 
         monkeypatch.setattr(type(symbol), name, counted)
     rank_sufficiency_check(symbol)
-    assert sorted(calls) == ["deriv", "value"]
+    # an inner symbol's contact set is the whole circle: its moduli are not scanned
+    assert sorted(calls) == (["deriv"] if isinstance(symbol, Blaschke) else ["deriv", "value"])
 
 
 # --- bound pipeline ---------------------------------------------------------------

@@ -16,6 +16,8 @@ from discop.symbols import (
     Monomial,
     Polynomial,
     Rotation,
+    TWO_PI,
+    boundary_grid,
     contact_indicator,
     verify_self_map,
 )
@@ -148,6 +150,17 @@ def test_verify_polynomial_constant():
 def test_verify_needs_reasonable_grid():
     with pytest.raises(ParamError):
         verify_self_map(Polynomial([0.5]), grid_size=64)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_boundary_grid_is_shared_read_only_and_exact(n):
+    theta, zeta = boundary_grid(n)
+    again = boundary_grid(n)
+    assert again[0] is theta and again[1] is zeta
+    assert not theta.flags.writeable and not zeta.flags.writeable
+    want = TWO_PI * np.arange(n) / n
+    assert theta.tobytes() == want.tobytes()
+    assert zeta.tobytes() == np.exp(1j * want).tobytes()
 
 
 def test_unverified_polynomial_cannot_evaluate():
