@@ -33,8 +33,8 @@ process, the exit codes, the per-pair changes and the pairs won.  The
 snapshot also records the line total of ``src/discop/*.py`` (as
 ``wc -l`` counts it) for ``HEAD`` and for the working tree.
 
-Before any timing, each tree runs every experiment of every workload for
-seeds 1 and 2 once, in a fresh process, and hashes its outputs: the report
+After the last timed run, each tree runs every experiment of every workload
+for seeds 1 and 2 once, in a fresh process, and hashes its outputs: the report
 rows without ``wall_ms``, the traces, the plot files' numbers and the exit
 code, or for a lift its values and traces.  The snapshot records the number
 of experiments, whether every hash is the parent's (``outputs_equal``) and
@@ -43,7 +43,11 @@ the outputs moved: per quantity (a report row's ``quantity``, or
 ``traces.<name>``, ``plots.<name>`` and a lift's value names) the largest
 relative difference of a number between the parent and the working tree,
 and every other output cell that differs (a string, a verdict, an exit code,
-or a list whose length changed).
+or a list whose length changed).  The comparison comes last because it holds
+both trees' outputs in this process, and a child started after that would
+report this process's high-water mark as its own ``peak_rss_mb``
+(``ru_maxrss`` survives fork and exec); every timed run is started from this
+process before it has loaded them.
 """
 
 from __future__ import annotations
@@ -296,7 +300,6 @@ def main(argv=None) -> int:
         parent_tree = Path(tmp)
         parent_commit = _extract_head(parent_tree)
         src_lines = {"head": _src_lines(parent_tree), "working_tree": _src_lines(ROOT)}
-        outputs = _compare_outputs(parent_tree)
         for name in WORKLOADS:
             runs, parent_runs = [], []
             for i, seed in enumerate(seeds):
@@ -326,6 +329,7 @@ def main(argv=None) -> int:
                 "metrics": _pair_changes(parent_runs, runs),
             }
         configs, config_comparison = _measure_configs(parent_tree, seeds, Path(reports))
+        outputs = _compare_outputs(parent_tree)
 
     snapshot = {
         "seeds": seeds,

@@ -2,9 +2,10 @@
 
 Experiments are pure functions of their configuration: no state is kept
 between runs, so emitted reports are reproducible evidence (byte-identical
-CSV up to the wall_ms column).  Each report file is formatted in memory (the
-boundary plots' angles from one table of their text, built on first use) and
-written with one unbuffered write.  Exit codes:
+CSV up to the wall_ms column).  An outcome keeps each plot as a pair
+``(x, y)`` of float64 arrays, formatted only on emission.  Each report file is
+formatted in memory (the boundary plots' angles from one table of their text,
+built on first use) and written with one unbuffered write.  Exit codes:
 
 * 0: all verdicts positive / within tolerance,
 * 2: a mathematical verdict is negative (kernel unbounded, rank check
@@ -63,6 +64,10 @@ class ReportRow:
 
 @dataclass
 class RunOutcome:
+    """Rows, traces and plots of one run; ``plots`` maps a name to ``(x, y)``
+    float64 arrays of equal length (the boundary plots' x is the shared,
+    read-only ``boundary_grid(PLOT_POINTS)[0]``)."""
+
     rows: list = field(default_factory=list)
     traces: dict = field(default_factory=dict)
     plots: dict = field(default_factory=dict)
@@ -88,6 +93,11 @@ def _plain(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return value
+
+
+def _indexed(values: list) -> tuple:
+    """A family plot: x = 1, 2, ... against ``values``, as float64 arrays."""
+    return np.arange(1.0, len(values) + 1.0), np.array(values, dtype=float)
 
 
 def _ms_since(t0: float) -> float:
@@ -131,8 +141,8 @@ def run(config: RunConfig) -> RunOutcome:
 
 def _run_norm(config: RunConfig, outcome: RunOutcome):
     p = config.params.p_dirichlet
-    plot = []
-    for idx, (label, series) in enumerate(config.family):
+    values = []
+    for label, series in config.family:
         t0 = time.perf_counter()
         coeff = dirichlet_norm_sq_coeff(series, p)
         quad = dirichlet_norm_sq_quad(series, p, config.quadrature)
@@ -142,10 +152,10 @@ def _run_norm(config: RunConfig, outcome: RunOutcome):
         row("dirichlet_norm_sq", quad.value_sq, "quadrature", NORM_AGREEMENT_RTOL,
             "Pass" if agree else "Fail")
         outcome.traces[label] = [list(t) for t in (quad.trace or ())]
-        plot.append((float(idx + 1), quad.value_sq))
+        values.append(quad.value_sq)
         if not agree:
             outcome.exit_code = max(outcome.exit_code, 3)
-    outcome.plots["norms"] = plot
+    outcome.plots["norms"] = _indexed(values)
 
 
 def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
@@ -161,7 +171,7 @@ def _run_kernel_sup(config: RunConfig, outcome: RunOutcome):
         row("interior_max", est.interior_max, "sample",
             config.sup_search.interior_rel_margin, verdict)
     outcome.traces["sup"] = [list(t) for t in est.trace]
-    outcome.plots["sup_trace"] = [(float(g), float(v)) for g, v in est.trace]
+    outcome.plots["sup_trace"] = tuple(np.array(est.trace, dtype=float).T)
     outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(verdict, 0))
 
 
@@ -183,16 +193,16 @@ def _run_rank_check(config: RunConfig, outcome: RunOutcome):
     row("contact_set", contact_desc, "scan",
         "exhaustive" if report.exhaustive else "heuristic", report.verdict.value)
     _min_deriv_row(row, report)
-    angles, zeta = boundary_grid(PLOT_POINTS)
-    dmod = np.abs(symbol.deriv(zeta))
-    outcome.plots["deriv_modulus"] = list(zip(angles.tolist(), dmod.tolist()))
+    # every (scan size / PLOT_POINTS)-th scan angle is a plot angle, bit for bit
+    dmod = report.deriv_modulus
+    outcome.plots["deriv_modulus"] = (boundary_grid(PLOT_POINTS)[0],
+                                      dmod[:: dmod.size // PLOT_POINTS].copy())
     outcome.exit_code = max(outcome.exit_code, VERDICT_CODES.get(report.verdict.value, 0))
 
 
 def _run_equivalence(config: RunConfig, outcome: RunOutcome):
     ratios = []
-    plot = []
-    for idx, (label, series) in enumerate(config.family):
+    for label, series in config.family:
         t0 = time.perf_counter()
         denominator = dirichlet_norm_sq_coeff(series, config.params.p_dirichlet)
         if denominator.value_sq <= 0.0:
@@ -206,7 +216,6 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
         row("equivalence_ratio", ratio, "quadrature/coefficient", config.stability_rel_tol,
             "Pass" if stable else "Fail")
         outcome.traces[label] = [list(t) for t in functional.trace]
-        plot.append((float(idx + 1), ratio))
         if not stable:
             outcome.exit_code = max(outcome.exit_code, 3)
     band = max(ratios) / min(ratios)
@@ -214,7 +223,7 @@ def _run_equivalence(config: RunConfig, outcome: RunOutcome):
         "ratio_band", band, "quadrature/coefficient", "",
         "Pass" if np.isfinite(band) and band > 0 else "Fail",
     )
-    outcome.plots["ratios"] = plot
+    outcome.plots["ratios"] = _indexed(ratios)
 
 
 def _run_bound_check(config: RunConfig, outcome: RunOutcome):
@@ -249,8 +258,7 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         labels=[lbl for lbl, _ in config.family],
     )
     per_row_wall = _ms_since(t0) / max(len(report.rows), 1)
-    plot = []
-    for idx, result in enumerate(report.rows):
+    for result in report.rows:
         row = _rows(outcome, "bound-check", result.label, per_row_wall)
         stable = result.comp_norm_sq.rel_error_estimate <= config.stability_rel_tol
         clean = result.violations == 0
@@ -261,10 +269,9 @@ def _run_bound_check(config: RunConfig, outcome: RunOutcome):
         row("composed_pair_integral", result.eq_intermediate_sq.value_sq, "quadrature",
             result.eq_intermediate_sq.rel_error_estimate, "Pass")
         outcome.traces[result.label] = [list(t) for t in (result.comp_norm_sq.trace or ())]
-        plot.append((float(idx + 1), result.ratio))
         if not (stable and clean):
             outcome.exit_code = max(outcome.exit_code, 3)
-    outcome.plots["bound_ratios"] = plot
+    outcome.plots["bound_ratios"] = _indexed([result.ratio for result in report.rows])
 
 
 def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
@@ -282,8 +289,7 @@ def _run_selfmap_check(config: RunConfig, outcome: RunOutcome):
     row("max_modulus", check.max_modulus, "scan", config.selfmap_tol, "Pass")
     row("boundary_contact", int(check.boundary_contact), "scan", config.selfmap_tol, "Pass")
     angles, zeta = boundary_grid(PLOT_POINTS)
-    mods = np.abs(check.symbol.value(zeta))
-    outcome.plots["boundary_modulus"] = list(zip(angles.tolist(), mods.tolist()))
+    outcome.plots["boundary_modulus"] = (angles, np.abs(check.symbol.value(zeta)))
 
 
 # --- emission ----------------------------------------------------------------
@@ -338,7 +344,7 @@ def emit_reports(outcome: RunOutcome, out_dir) -> dict:
         "json": _write(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"),
     }
     text = _angle_text()
-    for name, points in outcome.plots.items():
-        lines = [f"{text.get(x) or repr(x)} {y!r}\n" for x, y in points]
+    for name, (xs, ys) in outcome.plots.items():
+        lines = [f"{text.get(x) or repr(x)} {y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())]
         paths[f"plot_{name}"] = _write(out / f"plot_{name}.dat", "".join(lines))
     return paths

@@ -39,7 +39,7 @@ from phi' on the shared boundary grid, and phi there for a polynomial only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,7 +183,8 @@ class RankReport:
     unimodular symbols the whole circle is reported symbolically through
     ``full_circle`` rather than as a point list.  ``exhaustive`` records
     whether the scan resolution was fine enough to bracket every modulus
-    extremum of the symbol.
+    extremum of the symbol.  ``deriv_modulus`` is |phi'| on the scan grid,
+    ``boundary_grid(len(deriv_modulus))``.
     """
 
     full_circle: bool
@@ -191,6 +192,7 @@ class RankReport:
     exhaustive: bool
     min_deriv_modulus: float | None
     verdict: RankVerdict
+    deriv_modulus: np.ndarray = field(repr=False, compare=False)
 
 
 def _refine_min_deriv(symbol, theta0: float, half_width: float) -> float:
@@ -266,7 +268,7 @@ def rank_sufficiency_check(symbol: Blaschke | Polynomial) -> RankReport:
     else:
         verdict = RankVerdict.INCONCLUSIVE if touched else RankVerdict.VACUOUS
     return RankReport(full_circle=full_circle, points=tuple(points), exhaustive=exhaustive,
-                      min_deriv_modulus=min_deriv, verdict=verdict)
+                      min_deriv_modulus=min_deriv, verdict=verdict, deriv_modulus=dmod)
 
 
 # --- bound pipeline ---------------------------------------------------------

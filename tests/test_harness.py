@@ -1,3 +1,4 @@
+import cmath
 import copy
 import csv
 import functools
@@ -17,6 +18,7 @@ from discop.errors import ConfigError, ParamError
 from discop.harness import CSV_COLUMNS, _cell, emit_reports, run, RunOutcome
 from discop.kernels import SupSearchSettings
 from discop.quadrature import QuadratureSettings
+from discop.symbols import boundary_grid, verify_self_map
 from oracles import mobius_power_coeffs
 
 FAST_QUAD = {"radial": 8, "angular": 32}
@@ -365,7 +367,27 @@ def _strip_wall(path):
     return [row[:-1] for row in rows]
 
 
+#: one config per command; each writes a plot
 DETERMINISM_CONFIGS = {
+    "norm": {
+        "command": "norm",
+        "family": "geometric:1..3",
+        "params": {"sigma": 1.0, "tau": 1.0, "beta": 0.5},
+        "quadrature": _fast_quad(),
+    },
+    "kernel-sup": {
+        "command": "kernel-sup",
+        "symbol": {"type": "mobius", "a": {"re": 0.3, "im": 0.4}},
+        "sup_search": _fast_sup(),
+    },
+    "rank-check": {
+        "command": "rank-check",
+        "symbol": {"type": "poly", "coeffs": [0.5, 0.0, 0.5]},
+    },
+    "selfmap-check": {
+        "command": "selfmap-check",
+        "symbol": {"type": "blaschke", "zeros": [0.5, {"re": -0.3, "im": 0.2}]},
+    },
     "equivalence": {
         "command": "equivalence",
         "family": "monomials:1..2",
@@ -384,12 +406,70 @@ DETERMINISM_CONFIGS = {
 }
 
 
+def _json_without_wall(path):
+    return b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                    if b'"wall_ms":' not in line)
+
+
 @pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
 def test_csv_deterministic_up_to_wall_ms(tmp_path, name):
+    # and the JSON mirror without wall_ms, and every plot file, byte for byte
     cfg = parse_config(DETERMINISM_CONFIGS[name])
-    emit_reports(run(cfg), tmp_path / "a")
-    emit_reports(run(cfg), tmp_path / "b")
-    assert _strip_wall(tmp_path / "a" / "report.csv") == _strip_wall(tmp_path / "b" / "report.csv")
+    a = emit_reports(run(cfg), tmp_path / "a")
+    b = emit_reports(run(cfg), tmp_path / "b")
+    assert _strip_wall(a["csv"]) == _strip_wall(b["csv"])
+    assert _json_without_wall(a["json"]) == _json_without_wall(b["json"])
+    plots = sorted(key for key in a if key.startswith("plot_"))
+    assert plots and plots == sorted(key for key in b if key.startswith("plot_"))
+    for key in plots:
+        assert a[key].read_bytes() == b[key].read_bytes()
+
+
+@pytest.mark.parametrize("name", DETERMINISM_CONFIGS)
+def test_outcome_plots_are_pairs_of_float_arrays(name):
+    outcome = run(parse_config(DETERMINISM_CONFIGS[name]))
+    assert outcome.plots
+    for plot, (x, y) in outcome.plots.items():
+        assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+        assert x.dtype == y.dtype == np.float64 and x.ndim == y.ndim == 1
+        assert x.size == y.size > 0
+        if plot in ("deriv_modulus", "boundary_modulus"):
+            # the boundary plots share the cached angles; only y is their own
+            assert x is boundary_grid(256)[0] and not x.flags.writeable
+            assert y.size == 256
+
+
+#: a poly-contact symbol e^{i psi} (t + (1 - t) (z / zeta0)^2), |phi| = 1 at z = +-zeta0:
+#: e^{i psi} = 0.6 + 0.8i, t = 0.5 and zeta0 = e^{2 pi i 37 / 1024}, on the scan grid
+_C2 = (0.3 + 0.4j) * cmath.exp(-4j * math.pi * 37 / 1024)
+
+
+@pytest.mark.parametrize("symbol", [
+    {"type": "blaschke", "zeros": [0.5, {"re": -0.3, "im": 0.2}, {"re": 0.1, "im": -0.8}],
+     "post_rotation": 1.1},
+    {"type": "poly", "coeffs": [{"re": 0.3, "im": 0.4}, 0.0, {"re": _C2.real, "im": _C2.imag}]},
+])
+def test_rank_plot_is_read_off_the_scan_bit_for_bit(symbol):
+    cfg = parse_config({"command": "rank-check", "symbol": symbol})
+    x, y = run(cfg).plots["deriv_modulus"]
+    want = np.abs(verify_self_map(cfg.symbol).symbol.deriv(boundary_grid(256)[1]))
+    assert x is boundary_grid(256)[0]
+    assert y.tobytes() == want.tobytes()
+
+
+def test_rank_check_outcome_retains_under_8_kib():
+    cfg = parse_config({"command": "rank-check", "symbol": {
+        "type": "blaschke", "zeros": [0.5, {"re": -0.3, "im": 0.2}, {"re": 0.1, "im": -0.8}]}})
+    run(cfg)  # fills the boundary grids' cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        outcome = run(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert outcome.plots["deriv_modulus"][1].size == 256
+    assert retained < 8 * 1024
 
 
 def test_json_mirror_round_trip(tmp_path):
@@ -436,7 +516,7 @@ def test_plot_files_two_numeric_columns(tmp_path):
 
 def _emit_row_by_row(outcome, out):
     """The reference emission route: a csv.writer on the open file, json.dump of
-    asdict rows, one write per plot line with every x in repr form."""
+    asdict rows, one write per plot line, each array element in repr form."""
     out.mkdir(parents=True)
     with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -452,10 +532,10 @@ def _emit_row_by_row(outcome, out):
     with (out / "report.json").open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, points in outcome.plots.items():
+    for name, (xs, ys) in outcome.plots.items():
         with (out / f"plot_{name}.dat").open("w", encoding="utf-8") as fh:
-            for x, y in points:
-                fh.write(f"{x!r} {y!r}\n")
+            for x, y in zip(xs, ys):
+                fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
 def test_emit_reports_bytes_match_row_by_row_route(tmp_path):
