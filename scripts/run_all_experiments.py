@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and summarize the verdicts.
+"""Run every bundled experiment config through the discop CLI and check the exit codes.
 
-Reports land under reports/<config-name>/ as set by each config's out_dir.
-The constant-symbol kernel run is expected to exit 2 (Unbounded verdict);
-everything else should exit 0.
+Each config runs as ``discop <command> --config <path> --out <dir>``, with
+<dir> the config's out_dir (reports/<config-name>/ when it has none) under the
+repository root.  The constant-symbol kernel run is expected to exit 2
+(Unbounded verdict); everything else should exit 0.
 """
 
 import json
 import sys
 from pathlib import Path
 
-from discop.config import parse_config
-from discop.harness import emit_reports, run
+from discop.cli import main as discop
 
 EXPECTED_EXIT = {"kernel_sup_constant": 2}
 
@@ -20,15 +20,14 @@ def main() -> int:
     root = Path(__file__).resolve().parents[1]
     failures = []
     for path in sorted((root / "configs").glob("*.json")):
-        config = parse_config(json.loads(path.read_text()))
-        outcome = run(config)
-        out_dir = root / (config.out_dir or f"reports/{path.stem}")
-        emit_reports(outcome, out_dir)
+        spec = json.loads(path.read_text())
+        out_dir = root / (spec.get("out_dir") or f"reports/{path.stem}")
+        code = discop([spec["command"], "--config", str(path), "--out", str(out_dir)])
         expected = EXPECTED_EXIT.get(path.stem, 0)
-        status = "ok" if outcome.exit_code == expected else "UNEXPECTED"
+        status = "ok" if code == expected else "UNEXPECTED"
         if status != "ok":
             failures.append(path.stem)
-        print(f"{path.stem}: exit {outcome.exit_code} (expected {expected}) -> {out_dir} [{status}]")
+        print(f"{path.stem}: exit {code} (expected {expected}) -> {out_dir} [{status}]")
     if failures:
         print(f"unexpected exits: {failures}", file=sys.stderr)
         return 1

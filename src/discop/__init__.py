@@ -38,10 +38,9 @@ from .quadrature import (
     DiscRule,
     QuadratureSettings,
     build_disc_rule,
-    integrate_disc,
     refine_until,
 )
-from .series import TruncatedPowerSeries, differentiate
+from .series import TruncatedPowerSeries
 from .symbols import (
     Blaschke,
     BoundaryPoint,

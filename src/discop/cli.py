@@ -1,26 +1,36 @@
 """Command-line entry point.
 
-Usage:  discop <command> --config <path> [--out <dir>] [--refine <k>] [--seed <n>]
+Usage:  discop <command> --config <path> [--out <dir>]
 
 Commands: norm, kernel-sup, rank-check, equivalence, bound-check,
-selfmap-check.  The config file is a single JSON object (see config module);
---refine pre-refines the quadrature resolution by k factor steps and --seed
-reseeds the random interior sampling only.
+selfmap-check.  The config file is a single JSON object (see config module)
+and sets every input of the run; --out overrides its out_dir.  A malformed
+command line exits 4 with an E_CONFIG error naming the argument, as a
+malformed config does (argparse's own exit code 2 would read as a negative
+verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import COMMANDS, apply_overrides, parse_config
+from .config import COMMANDS, parse_config
 from .errors import ConfigError, ParamError
 from .harness import emit_reports, run
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="discop",
         description="Disc/bidisc norm computations and composition-operator checks",
     )
@@ -29,19 +39,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory for reports")
-        cmd.add_argument(
-            "--refine", type=int, default=0,
-            help="pre-refine quadrature resolution by this many factor steps",
-        )
-        cmd.add_argument(
-            "--seed", type=int, default=None,
-            help="seed for the random interior sampling",
-        )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        return 4
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -51,7 +57,8 @@ def main(argv=None) -> int:
     # codes; configuration and parameter errors end the run here
     try:
         config = parse_config(text, command=args.command)
-        config = apply_overrides(config, out_dir=args.out, refine=args.refine, seed=args.seed)
+        if args.out is not None:
+            config = replace(config, out_dir=args.out)
         outcome = run(config)
     except (ConfigError, ParamError) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

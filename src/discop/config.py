@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,7 +116,7 @@ def _fits(need, where):
                           "above physical memory", field=where)
 
 
-def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
+def _quadrature_bytes(command, q: QuadratureSettings):
     """Bytes of the largest arrays a command builds on its quadrature ladder.
 
     equivalence: the kernel spectrum 8 (m//2 + 1) n_rad^2 at the last level, twice: a
@@ -125,15 +125,14 @@ def _quadrature_bytes(command, q: QuadratureSettings, refine=0):
     bound-check: those, or on its base rule of N nodes the pair engine's tile
     workspace, 8 x 3 x 16 x N, or the kernel spectrum, whichever is largest.
     """
-    # 64 factor steps put any rule past any memory, so the powers stop there
-    base = q.refinement_factor ** min(refine, 64)
-    top = q.refinement_factor ** min(refine + q.max_refinements, 64)
+    # 64 factor steps put any rule past any memory, so the power stops there
+    top = q.refinement_factor ** min(q.max_refinements, 64)
     n_rad, m = q.radial_count * top, q.angular_count * top
     if command == "equivalence":
         return 2 * 8 * (m // 2 + 1) * n_rad**2
     need = 24 * n_rad * m
     if command == "bound-check":
-        n_rad, m = q.radial_count * base, q.angular_count * base
+        n_rad, m = q.radial_count, q.angular_count
         need = max(need, 8 * 3 * _TILE * n_rad * m, 8 * (m // 2 + 1) * n_rad**2)
     return need
 
@@ -371,36 +370,3 @@ def parse_config(obj, command: str | None = None) -> RunConfig:
         out_dir=out_dir,
     )
 
-
-def apply_overrides(config: RunConfig, out_dir=None, refine=None, seed=None) -> RunConfig:
-    """CLI-level overrides: output directory, pre-refinement steps, RNG seed.
-
-    ``refine`` multiplies the base quadrature counts by refinement_factor^k
-    (the sup-search grid is left alone; it refines itself), unless what the
-    command builds on the refined ladder then exceeds physical memory.  A
-    command that does not read what a flag sets refuses the flag (a zero
-    refine is none).
-    """
-    for flag, value, key in (("--refine", refine or None, "quadrature"),
-                             ("--seed", seed, "sup_search")):
-        if value is not None and value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value}", field=flag)
-        if value is not None and key not in _INPUTS[config.command]:
-            raise ConfigError(f"{flag}: {config.command} reads no {key}", field=flag)
-    if out_dir is not None:
-        config = replace(config, out_dir=str(out_dir))
-    if refine:
-        q = config.quadrature
-        _fits(_quadrature_bytes(config.command, q, int(refine)), "--refine")
-        scale = q.refinement_factor**int(refine)
-        config = replace(
-            config,
-            quadrature=replace(
-                q,
-                radial_count=q.radial_count * scale,
-                angular_count=q.angular_count * scale,
-            ),
-        )
-    if seed is not None:
-        config = replace(config, sup_search=replace(config.sup_search, seed=int(seed)))
-    return config

@@ -5,7 +5,7 @@ between runs, so emitted reports are reproducible evidence (byte-identical
 CSV up to the wall_ms column).  An outcome keeps each plot as a pair
 ``(x, y)`` of float64 arrays, formatted only on emission.  Each report file is
 formatted in memory (the boundary plots' angles from one table of their text,
-built on first use) and written with one unbuffered write.  Exit codes:
+built on first use) and written whole with ``Path.write_bytes``.  Exit codes:
 
 * 0: all verdicts positive / within tolerance,
 * 2: a mathematical verdict is negative (kernel unbounded, rank check
@@ -309,15 +309,6 @@ def _angle_text() -> dict:
     return {x: repr(x) for x in boundary_grid(PLOT_POINTS)[0].tolist()[1:]}
 
 
-def _write(path: Path, text: str) -> Path:
-    """Write ``text`` as UTF-8 in one unbuffered write (repeated only after a short one)."""
-    with path.open("wb", buffering=0) as fh:
-        data = memoryview(text.encode("utf-8"))
-        while data:
-            data = data[fh.write(data):]
-    return path
-
-
 def emit_reports(outcome: RunOutcome, out_dir) -> dict:
     """Write report.csv, a JSON mirror with traces, and plot data files.
 
@@ -339,12 +330,12 @@ def emit_reports(outcome: RunOutcome, out_dir) -> dict:
         "traces": outcome.traces,
         "exit_code": outcome.exit_code,
     }
-    paths = {
-        "csv": _write(out / "report.csv", table.getvalue()),
-        "json": _write(out / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"),
-    }
+    paths = {"csv": out / "report.csv", "json": out / "report.json"}
+    paths["csv"].write_bytes(table.getvalue().encode("utf-8"))
+    paths["json"].write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     text = _angle_text()
     for name, (xs, ys) in outcome.plots.items():
         lines = [f"{text.get(x) or repr(x)} {y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())]
-        paths[f"plot_{name}"] = _write(out / f"plot_{name}.dat", "".join(lines))
+        paths[f"plot_{name}"] = out / f"plot_{name}.dat"
+        paths[f"plot_{name}"].write_bytes("".join(lines).encode("utf-8"))
     return paths

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .symbols import TWO_PI, BoundaryPoint, boundary_grid, contact_indicator
+from .symbols import TWO_PI, Blaschke, BoundaryPoint, boundary_grid
 
 #: |1 - z conj(w)| below this is treated as "on the boundary diagonal"
 MIN_DENOMINATOR = 1e-13
@@ -55,23 +55,22 @@ _DEFAULT_EXTRAP_H = 0.2 * 0.5 ** np.arange(9)
 _STAB_TOL = 1e-8
 
 
-def _diag_values_batch(symbol, angles):
-    """Radial-limit extrapolation of k(r zeta, r zeta) for a batch of angles.
+def _diag_values_batch(symbol, zeta, modulus):
+    """Radial-limit extrapolation of k(r zeta, r zeta) for boundary points zeta with
+    |phi(zeta)| = modulus.
 
-    Returns (values, ok) where ok flags angles whose extrapolation stabilized
-    and (for exact-contact angles) agrees with |phi'(zeta)|.  Where the
+    Returns (values, ok) where ok flags points whose extrapolation stabilized
+    and (for exact-contact points) agrees with |phi'(zeta)|.  Where the
     cross-check confirms the angular-derivative closed form, that exact value
     replaces the extrapolant (it has no h -> 0 amplification noise).
     """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    zeta = np.exp(1j * angles)
     hs = _DEFAULT_EXTRAP_H
     rs = 1.0 - hs
     rows = (1.0 - np.abs(symbol.value(rs[:, None] * zeta)) ** 2) / (1.0 - rs * rs)[:, None]
     limit, corr = _neville_to_zero(hs, rows)
     scale = np.maximum(1.0, np.abs(limit))
     ok = corr <= _STAB_TOL * scale
-    exact_contact = 1.0 - np.abs(symbol.value(zeta)) <= 1e-12
+    exact_contact = 1.0 - modulus <= 1e-12
     dmod = np.abs(symbol.deriv(zeta))
     confirmed = exact_contact & (np.abs(limit - dmod) <= 1e-6 * np.maximum(1.0, dmod))
     ok &= ~exact_contact | confirmed
@@ -168,8 +167,9 @@ def _kernel_grid(symbol, geometry, contact_tol):
 
     Numerator and denominator share the complex-difference float path, so
     structurally equal symbols (the identity) give exactly 1.  Exact-diagonal
-    cells are replaced by the radial extrapolation at contact angles and
-    skipped elsewhere (their neighbors carry the blow-up).
+    cells are replaced by the radial extrapolation at contact angles, where
+    1 - |phi| <= contact_tol (every angle for a Blaschke product), and skipped
+    elsewhere (their neighbors carry the blow-up).
     """
     alphas, za, zg, den, off_diag, ii, jj = geometry
     pa = symbol.value(za)
@@ -180,10 +180,11 @@ def _kernel_grid(symbol, geometry, contact_tol):
     np.divide(vals, den, out=vals, where=off_diag)
     vals[ii, jj] = 0.0
     if ii.size:
-        diag_angles = alphas[ii]
-        contact = contact_indicator(symbol, diag_angles, contact_tol)
+        zeta = np.exp(1j * alphas[ii])
+        modulus = np.abs(symbol.value(zeta))
+        contact = isinstance(symbol, Blaschke) | (1.0 - modulus <= contact_tol)
         if contact.any():
-            limits, ok = _diag_values_batch(symbol, diag_angles[contact])
+            limits, ok = _diag_values_batch(symbol, zeta[contact], modulus[contact])
             vals[ii[contact], jj[contact]] = np.where(ok, limits, 0.0)
     return vals
 

@@ -29,14 +29,7 @@ import numpy as np
 
 from ._numutil import powq
 from .errors import ConvergenceError, ParamError
-from .quadrature import (
-    DEFAULT_DISC_SETTINGS,
-    QuadratureSettings,
-    _jacobi_01,
-    build_disc_rule,
-    integrate_disc,
-    refine_until,
-)
+from .quadrature import DEFAULT_DISC_SETTINGS, QuadratureSettings, build_disc_rule, refine_until
 from .series import TruncatedPowerSeries
 
 @dataclass(frozen=True)
@@ -154,8 +147,10 @@ def dirichlet_norm_sq_quad(
         vals = np.asarray(f.deriv(rule.nodes))
         e = int(np.frexp(np.max(np.abs(vals)))[1])
         re, im = np.ldexp(vals.real, -e), np.ldexp(vals.imag, -e)
-        val = integrate_disc(rule, lambda z: re * re + im * im)
-        return float(np.ldexp(np.real(val) / (p + 1.0), 2 * e))
+        sq = re * re + im * im
+        if not np.all(np.isfinite(sq)):
+            raise ConvergenceError("integrand is non-finite at a quadrature node")
+        return float(np.ldexp(np.sum(rule.weights * sq) / (p + 1.0), 2 * e))
 
     refined = refine_until(settings, functional)
     return NormResult(
@@ -183,7 +178,7 @@ def _kernel_spectrum(sigma: float, tau: float, q: float, n_rad: int, n_ang: int,
     m, h = n_ang, n_ang // 2 + 1
     rule_z = build_disc_rule(sigma, n_rad, n_ang)
     rule_w = rule_z if sigma == tau else build_disc_rule(tau, n_rad, n_ang)
-    r_z, r_w = (np.sqrt(_jacobi_01(float(s), int(n_rad))[0]) for s in (sigma, tau))
+    r_z, r_w = rule_z.nodes[::m].real, rule_w.nodes[::m].real
     cos_h = np.cos(2.0 * np.pi * (power * np.arange(h) % m) / m)
     spectrum = np.empty((n_rad, h, n_rad))
     for i, x in enumerate((r_z[:, None] * r_w) ** power):

@@ -73,14 +73,6 @@ def build_disc_rule(sigma: float, n_rad: int, n_ang: int) -> DiscRule:
     return DiscRule(radial_w=wt, normalization=c, nodes=nodes, weights=weights)
 
 
-def integrate_disc(rule: DiscRule, g):
-    """Weighted nodal sum of g over the disc rule (deterministic order)."""
-    vals = np.asarray(g(rule.nodes))
-    if not np.all(np.isfinite(vals)):
-        raise ConvergenceError("integrand is non-finite at a quadrature node")
-    return np.sum(rule.weights * vals)
-
-
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Refinement driver parameters.

@@ -40,8 +40,11 @@ class TruncatedPowerSeries:
 
     @cached_property
     def _derivative(self) -> "TruncatedPowerSeries":
-        # built on first use: building it eagerly would recurse through differentiate
-        return differentiate(self)
+        """Termwise derivative; a constant's is the zero series of order 0.  Built on first
+        use: building it eagerly would build the derivative's derivative, and so on."""
+        if len(self.coeffs) == 1:
+            return TruncatedPowerSeries((0.0,))
+        return TruncatedPowerSeries(tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:])))
 
     @classmethod
     def monomial(cls, n: int) -> "TruncatedPowerSeries":
@@ -57,9 +60,3 @@ class TruncatedPowerSeries:
             raise ParamError("partial-sum degree must be >= 0")
         return cls((1.0,) * (k + 1))
 
-
-def differentiate(s: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Termwise derivative; constants map to the zero series of order 0."""
-    if len(s.coeffs) == 1:
-        return TruncatedPowerSeries((0.0,))
-    return TruncatedPowerSeries(tuple((n + 1) * c for n, c in enumerate(s.coeffs[1:])))

@@ -45,9 +45,6 @@ class BoundaryPoint:
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
 
-    def to_complex(self) -> complex:
-        return complex(np.exp(1j * self.angle))
-
 
 @dataclass(frozen=True)
 class Blaschke:
@@ -207,10 +204,3 @@ def verify_self_map(symbol, grid_size: int = 1024, tol: float = 1e-6) -> SelfMap
         symbol=checked, max_modulus=max_mod, boundary_contact=bool(max_mod >= 1.0 - tol)
     )
 
-
-def contact_indicator(symbol: Blaschke | Polynomial, angles, contact_tol: float = 1e-6):
-    """Boolean mask of boundary angles where 1 - |phi| <= contact_tol."""
-    if isinstance(symbol, Blaschke):
-        return np.ones(np.shape(np.asarray(angles)), dtype=bool)
-    zeta = np.exp(1j * np.asarray(angles, dtype=float))
-    return 1.0 - np.abs(symbol.value(zeta)) <= contact_tol

@@ -20,9 +20,10 @@ exponent at a time.
 This route shares nothing with the library's quadrature: no disc rules, no
 FFTs, no node sets.
 
-The module also holds helpers that only the tests use: pointwise kernel
-evaluation, the closed-form suprema, the symbol spec writer, the equivalence
-ratio of one function, the row-by-row Neville loop that the vectorised
+The module also holds helpers that only the tests use: the weighted nodal
+sum of a disc rule, pointwise kernel evaluation, the closed-form suprema,
+the symbol spec writer, the equivalence ratio of one function, the
+row-by-row Neville loop that the vectorised
 extrapolation is checked against, the scalar bisection of one bracket at a
 time that the rank check's batched one is checked against, and reference
 evaluations of the inner symbols (their closed forms and the factor-by-factor
@@ -107,6 +108,11 @@ def pairwise_series_oracle(n, sigma, tau, beta, kmax=2**21, levels=4):
 def disc_moment(sigma, m):
     """int_D |z|^{2m} dA_sigma = (sigma+1) B(m+1, sigma+1)."""
     return (sigma + 1.0) * float(np.exp(betaln(m + 1.0, sigma + 1.0)))
+
+
+def disc_integral(rule, g):
+    """Weighted nodal sum of g over a disc rule: the rule's own integral of g."""
+    return np.sum(rule.weights * np.asarray(g(rule.nodes)))
 
 
 def dirichlet_monomial_sq(n, p):
@@ -306,5 +312,5 @@ def polynomial_contacts_scalar(symbol, resolution=4096, contact_tol=1e-6):
         steps.append(taken)
         if 1.0 - float(np.abs(symbol.value(np.exp(1j * peak)))) <= contact_tol:
             angles.append(BoundaryPoint(peak).angle)
-    min_deriv = min(float(np.abs(symbol.deriv(BoundaryPoint(a).to_complex()))) for a in angles)
+    min_deriv = min(float(np.abs(symbol.deriv(np.exp(1j * a)))) for a in angles)
     return angles, min_deriv, steps

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from discop.cli import main as cli_main
-from discop.config import apply_overrides, parse_config
+from discop.config import parse_config
 from discop.errors import ConfigError, ParamError
 from discop.harness import CSV_COLUMNS, _cell, emit_reports, run, RunOutcome
 from discop.kernels import SupSearchSettings
@@ -171,25 +171,6 @@ def test_parse_bound_check_insists_on_equal_weights():
                 "params": {"sigma": 1.0, "tau": 0.5, "beta": 0.25},
             }
         )
-
-
-def test_overrides_scale_quadrature():
-    cfg = parse_config(
-        {
-            "command": "norm",
-            "family": "monomials:1..2",
-            "params": {"sigma": 1.0, "beta": 0.5},
-            "quadrature": {"radial_count": 8, "angular_count": 16},
-        }
-    )
-    bumped = apply_overrides(cfg, refine=2)
-    assert bumped.quadrature.radial_count == 32
-    assert bumped.quadrature.angular_count == 64
-
-
-def test_overrides_reseed_sup_search():
-    cfg = parse_config({"command": "kernel-sup", "symbol": {"type": "identity"}})
-    assert apply_overrides(cfg, seed=7).sup_search.seed == 7
 
 
 # --- running -----------------------------------------------------------------
@@ -803,65 +784,71 @@ def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, paylo
     assert field in capsys.readouterr().err
 
 
-def test_cli_refuses_negative_seed_and_refine(tmp_path, capsys):
-    path = _write_config(
-        tmp_path, "ok.json", {"command": "kernel-sup", "symbol": {"type": "identity"}}
-    )
-    for flag in ("--seed", "--refine"):
-        argv = ["kernel-sup", "--config", path, "--out", str(tmp_path / "out"), flag, "-1"]
-        assert cli_main(argv) == 4
-        assert flag in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    ("kernel-sup", "--refine", "1"),
-    ("kernel-sup", "--refine", "3"),  # refused for what it sets, not for a spectrum never built
-    ("norm", "--seed", "5"),
-])
-def test_cli_refuses_flags_the_command_does_not_read(tmp_path, capsys, command, flag, value):
+@pytest.mark.parametrize("command, extra", [
+    ("kernel-sup", ["--refine", "1"]),
+    ("kernel-sup", ["--refine", "3"]),
+    ("norm", ["--seed", "5"]),
+    ("kernel-sup", ["--bogus", "1"]),
+    ("kernel-sup", None),
+], ids=["kernel-sup---refine-1", "kernel-sup---refine-3", "norm---seed-5",
+        "kernel-sup---bogus-1", "kernel-sup-missing---config"])
+def test_cli_refuses_flags_the_command_does_not_read(tmp_path, capsys, monkeypatch, command, extra):
+    # the config file sets every input, so a command reads --config and --out only; a
+    # malformed command line exits 4 as a malformed config does (argparse's own exit 2
+    # would read as a negative verdict) and names the argument
+    monkeypatch.setattr("discop.cli.run", lambda config: pytest.fail("run() was reached"))
     payload = {
         "kernel-sup": {"command": "kernel-sup", "symbol": {"type": "identity"}},
         "norm": {"command": "norm", "family": "monomials:1..2",
                  "params": {"sigma": 1.0, "beta": 0.5}},
     }[command]
     path = _write_config(tmp_path, "ok.json", payload)
-    argv = [command, "--config", path, "--out", str(tmp_path / "out"), flag, value]
-    assert cli_main(argv) == 4
+    given = ["--config", path, *extra] if extra else []
+    assert cli_main([command, "--out", str(tmp_path / "out"), *given]) == 4
     err = capsys.readouterr().err
-    assert f"{flag}: {command} reads no" in err and "sizes at least" not in err
-    # a zero --refine asks for nothing, so it is accepted
-    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out"), "--refine", "0"]) == 0
+    assert err.startswith("error [E_CONFIG]: ") and (extra or ["--config"])[0] in err
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["--help"], ["norm", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_refuses_refine_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    # the refusal comes before any rule is built
+    # the refusal comes before any rule is built: a bundled config refined by
+    # twelve factor steps, which scales its counts by 2^12
     monkeypatch.setattr("discop.cli.run", lambda config: pytest.fail("run() was reached"))
-    path = Path(__file__).resolve().parents[1] / "configs" / "equivalence_monomials.json"
-    argv = ["equivalence", "--config", str(path), "--out", str(tmp_path), "--refine", "12"]
-    assert cli_main(argv) == 4
-    assert "--refine" in capsys.readouterr().err
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "equivalence_monomials.json"
+    payload = json.loads(bundled.read_text())
+    assert "quadrature" not in payload  # the default 32 x 128 ladder
+    payload["quadrature"] = {"radial_count": 32 * 2**12, "angular_count": 128 * 2**12}
+    path = _write_config(tmp_path, "big.json", payload)
+    assert cli_main(["equivalence", "--config", path, "--out", str(tmp_path)]) == 4
+    assert "[E_CONFIG]: quadrature sizes at least" in capsys.readouterr().err
 
 
 def test_refine_bound_is_the_last_level_kernel_spectrum(monkeypatch):
-    cfg = parse_config(
-        {
-            "command": "equivalence",
-            "family": "monomials:1..2",
-            "params": {"sigma": 1.0, "beta": 0.5},
-            "quadrature": {"radial_count": 8, "angular_count": 16, "max_refinements": 1},
-        }
-    )
-    # refine 1 and one ladder step: the last level is 32 x 64; its spectrum and, for a
-    # dense series, the slabs gathered from it
-    need = 2 * 8 * (64 // 2 + 1) * 32**2
+    # 16 x 32 refined by one factor step, then one ladder step: the last level is
+    # 64 x 128; its spectrum and, for a dense series, the slabs gathered from it
+    quadrature = {"radial_count": 16 * 2, "angular_count": 32 * 2, "max_refinements": 1}
+    cfg = {
+        "command": "equivalence",
+        "family": "monomials:1..2",
+        "params": {"sigma": 1.0, "beta": 0.5},
+        "quadrature": quadrature,
+    }
+    need = 2 * 8 * (128 // 2 + 1) * 64**2
     for memory, refused in ((need, False), (need - 1, True)):
         monkeypatch.setattr("os.sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.get)
         if refused:
             with pytest.raises(ConfigError) as info:
-                apply_overrides(cfg, refine=1)
-            assert info.value.field == "--refine"
+                parse_config(cfg)
+            assert info.value.field == "quadrature"
         else:
-            assert apply_overrides(cfg, refine=1).quadrature.radial_count == 16
+            assert parse_config(cfg).quadrature.radial_count == 32
 
 
 @pytest.mark.parametrize(
@@ -998,16 +985,11 @@ def test_bound_check_quadrature_bound_is_its_largest_array(
     with pytest.raises(ConfigError) as info:
         parse_config(config)
     assert info.value.field == "quadrature"
-    # --refine sizes the arrays on the refined ladder
-    small = dict(config, quadrature={"radial_count": radial_count // 2,
-                                     "angular_count": angular_count // 2,
-                                     "max_refinements": max_refinements})
-    _memory(monkeypatch, need)
-    assert apply_overrides(parse_config(small), refine=1).quadrature.angular_count == angular_count
-    _memory(monkeypatch, need - 1)
-    with pytest.raises(ConfigError) as info:
-        apply_overrides(parse_config(small), refine=1)
-    assert info.value.field == "--refine"
+    # refining scales the config's counts: one factor step coarser fits below the bound
+    coarse = dict(config, quadrature={"radial_count": radial_count // 2,
+                                      "angular_count": angular_count // 2,
+                                      "max_refinements": max_refinements})
+    assert parse_config(coarse).quadrature.angular_count == angular_count // 2
 
 
 def test_norm_quadrature_bound_is_its_rule_arrays(monkeypatch):

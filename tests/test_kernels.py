@@ -92,11 +92,24 @@ def test_eval_kernel_value_and_unverified_polynomial():
     ids=["identity", "z^2", "contact-poly", "mobius-0.5", "mobius-0.3i", "z^3"],
 )
 def test_diagonal_radial_limit(symbol, angle, expected):
-    (value,), (ok,) = _diag_values_batch(symbol, [angle])
+    zeta = np.exp(1j * np.array([angle]))
+    (value,), (ok,) = _diag_values_batch(symbol, zeta, np.abs(symbol.value(zeta)))
     if expected is None:
         expected = float(abs(symbol.deriv(np.exp(1j * angle))))
     assert ok
     assert value == pytest.approx(expected, abs=1e-9)
+
+
+def test_kernel_grid_diagonal_contact_inner_vs_polynomial():
+    # a Blaschke product touches the circle at every angle, a polynomial only
+    # where 1 - |phi| <= contact_tol; other diagonal cells are skipped
+    angles = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    geometry = _grid_geometry(angles, angles)
+    assert np.diag(_kernel_grid(Monomial(3), geometry, 1e-6)) == pytest.approx(3.0)
+    poly = verify_self_map(Polynomial([0.5, 0.5])).symbol
+    diag = np.diag(_kernel_grid(poly, geometry, 1e-6))
+    assert diag[0] == pytest.approx(0.5)  # angle 0 touches the circle: |phi'| there
+    assert not diag[1:].any()
 
 
 @pytest.mark.parametrize("n", [1, 7, 64])
@@ -206,6 +219,23 @@ def test_estimate_sup_noncontact_polynomial_divergence():
     poly = verify_self_map(Polynomial([0.5, 0.5])).symbol
     est = estimate_sup(poly)
     assert est.verdict is Verdict.UNBOUNDED
+
+
+def test_estimate_sup_near_boundary_mobius_ladder_bounded_verdicts_are_right():
+    # the 64 Mobius maps of the benchmark's symbol scan: |a| = 1 - 10^-d with d
+    # from 0.3 to 7, golden-angle arguments and post-rotations.  Some verdicts
+    # are Unbounded or Inconclusive (ROADMAP item 2), but a Bounded one must
+    # carry the closed form (1 + |a|)/(1 - |a|); 39 of them do, within 5.3e-4
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    errors = []
+    for k in range(64):
+        a = (1.0 - 10.0 ** -(0.3 + k * (7.0 - 0.3) / 63)) * np.exp(1j * golden * k)
+        est = estimate_sup(MobiusAuto(a, post_rotation=golden * (64 - k)))
+        if est.verdict is Verdict.BOUNDED:
+            exact = (1.0 + abs(a)) / (1.0 - abs(a))
+            errors.append(abs(est.value - exact) / exact)
+    assert len(errors) >= 39
+    assert max(errors) <= 1e-3
 
 
 def test_estimate_sup_trace_monotone():

@@ -133,6 +133,20 @@ def test_quad_norm_constant():
     assert res.value_sq <= 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_quad_norm_rejects_nonfinite_integrand(bad):
+    class Spiked:
+        """f' = 1 but at one quadrature node"""
+
+        def deriv(self, z):
+            out = np.ones_like(z)
+            out[3] = bad
+            return out
+
+    with pytest.raises(ConvergenceError, match="^integrand is non-finite at a quadrature node$"):
+        dirichlet_norm_sq_quad(Spiked(), 1.0)
+
+
 @pytest.mark.parametrize("scale", [2.4156809098717717e-159, 1e-160, 1e150])
 def test_quad_norm_refines_like_unit_multiple(scale):
     # |f'|^2 of the tiny scales is subnormal; the refinement must still move
