@@ -784,6 +784,19 @@ def test_cli_malformed_config_exits_four_and_names_field(tmp_path, capsys, paylo
     assert field in capsys.readouterr().err
 
 
+def test_cli_refuses_negative_seed_and_refine(tmp_path, capsys, monkeypatch):
+    # the seed and the refinement are config fields, so neither flag is read, whatever its value
+    monkeypatch.setattr("discop.cli.run", lambda config: pytest.fail("run() was reached"))
+    path = _write_config(
+        tmp_path, "ok.json", {"command": "kernel-sup", "symbol": {"type": "identity"}}
+    )
+    for flag in ("--seed", "--refine"):
+        argv = ["kernel-sup", "--config", path, "--out", str(tmp_path / "out"), flag, "-1"]
+        assert cli_main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error [E_CONFIG]: ") and flag in err
+
+
 @pytest.mark.parametrize("command, extra", [
     ("kernel-sup", ["--refine", "1"]),
     ("kernel-sup", ["--refine", "3"]),
